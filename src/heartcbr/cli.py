@@ -57,6 +57,7 @@ def _fraction_flag(text: str):
 
 
 def _weights_flag(text: str) -> tuple[float, ...]:
+    """Parse --weights; a malformed list is a usage error, invalid values a CliError."""
     parts = text.split(",")
     if len(parts) != N_FEATURES:
         raise argparse.ArgumentTypeError(
@@ -66,11 +67,7 @@ def _weights_flag(text: str) -> tuple[float, ...]:
         weights = tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric weight in {text!r}") from None
-    if any(w < 0 for w in weights):
-        raise argparse.ArgumentTypeError("weights must be non-negative")
-    if sum(weights) <= 0:
-        raise argparse.ArgumentTypeError("weights must not all be zero")
-    return weights
+    return _stage("weights", SimilarityConfig, weights=weights).weights
 
 
 def _mode(args) -> str:
@@ -134,12 +131,11 @@ def _run_evaluation(args):
     _, split = _split_pipeline(args)
     params = _stage("fit", fit_minmax, split.train)
     config = _config(args)
-    report = _stage("evaluate", evaluate, split.test, split.train, config, params)
-    return split, report
+    return _stage("evaluate", evaluate, split.test, split.train, config, params)
 
 
 def cmd_evaluate(args) -> int:
-    _, report = _run_evaluation(args)
+    report = _run_evaluation(args)
     out = _out_dir(args)
     payload = reports.evaluation_report_to_dict(report, _config_payload(args))
     _stage("write", reports.write_json, out / "evaluation_report.json", payload)
@@ -152,6 +148,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _merged_labels(truths, report) -> list[int]:
+    """True labels of the training rows, then the predicted labels of the test rows.
+
+    Taken from the input rows, since an incremental-retain evaluation has
+    grown the training case base by the test rows.
+    """
+    return truths[: report.n_train] + [r.predicted_target for r in report.per_case]
+
+
 def cmd_stats(args) -> int:
     cases = _stage("parse", parse_csv, args.input, _mode(args))
     truths = [case.target for case in cases]
@@ -159,9 +164,8 @@ def cmd_stats(args) -> int:
         raise CliError("stats: every input row needs a target")
     true_stats = _stage("stats", analytics.dataset_stats, cases, truths)
 
-    split, report = _run_evaluation(args)
-    merged_labels = [case.target for _, case in split.train]
-    merged_labels.extend(r.predicted_target for r in report.per_case)
+    report = _run_evaluation(args)
+    merged_labels = _merged_labels(truths, report)
     predicted_stats = _stage("stats", analytics.dataset_stats, cases, merged_labels)
 
     out = _out_dir(args)
@@ -285,8 +289,7 @@ def cmd_run_all(args) -> int:
 
     truths = [case.target for case in cases]
     true_stats = _stage("stats", analytics.dataset_stats, cases, truths)
-    merged_labels = [case.target for _, case in split.train]
-    merged_labels.extend(r.predicted_target for r in report.per_case)
+    merged_labels = _merged_labels(truths, report)
     predicted_stats = _stage("stats", analytics.dataset_stats, cases, merged_labels)
     _stage("write", reports.write_stats_tables, out, "true", true_stats)
     _stage("write", reports.write_stats_tables, out, "predicted", predicted_stats)
@@ -367,15 +370,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
-    try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,13 +9,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .cases import (
     FEATURE_NAMES,
+    N_FEATURES,
     TARGET_NAME,
     Case,
     CaseValidationError,
+    to_feature_vector,
     validate_case,
 )
 
@@ -36,6 +40,12 @@ class DegenerateSplitError(DatasetError):
     """A requested split would leave the train or test side empty."""
 
 
+def feature_matrix(cases: Sequence[Case]) -> np.ndarray:
+    """Raw feature vectors of ``cases`` as an n x 13 float64 matrix."""
+    rows = [to_feature_vector(case) for case in cases]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
+
+
 class CaseBase:
     """Ordered store of solved cases with stable, strictly increasing ids.
 
@@ -43,11 +53,20 @@ class CaseBase:
     reused, every stored case carries a target, and existing entries are
     never mutated (retain only appends). Single writer, any number of
     concurrent readers.
+
+    Retrieval reads the base through :meth:`arrays`, a raw feature matrix
+    with the ids and targets beside it. It is built on first use, so parsing
+    and splitting never pay for it, and from then on :meth:`add` writes each
+    new case into spare rows instead of rebuilding it.
     """
 
     def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
         self._ids: list[int] = []
         self._cases: list[Case] = []
+        # (features, ids, targets), built by arrays(): the first len(self) rows
+        # are in use, the rest is spare. Replaced as a whole, so a reader never
+        # sees one column without the others.
+        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         for case_id, case in entries:
             self._insert(case_id, case)
 
@@ -67,8 +86,36 @@ class CaseBase:
             )
         if case_id < 0:
             raise DatasetError(f"case_id {case_id} must be non-negative")
+        if self._columns is not None:
+            self._append_row(case_id, case)
         self._ids.append(case_id)
         self._cases.append(case)
+
+    def _append_row(self, case_id: int, case: Case) -> None:
+        row = len(self._ids)
+        if row == len(self._columns[0]):
+            self._columns = tuple(_grown(column, 2 * row) for column in self._columns)
+        features, ids, targets = self._columns
+        features[row] = to_feature_vector(case)
+        ids[row] = case_id
+        targets[row] = case.target
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only views: raw features (n x 13 float64), ids and targets (int64)."""
+        columns = self._columns
+        if columns is None:
+            capacity = max(2 * len(self._cases), 64)
+            targets = [case.target for case in self._cases]
+            built = (
+                feature_matrix(self._cases),
+                np.array(self._ids, dtype=np.int64),
+                np.array(targets, dtype=np.int64),
+            )
+            columns = self._columns = tuple(_grown(column, capacity) for column in built)
+        views = tuple(column[: len(self._ids)] for column in columns)
+        for view in views:
+            view.flags.writeable = False
+        return views
 
     def add(self, case: Case) -> int:
         """Append a solved case under a fresh id and return that id."""
@@ -95,6 +142,13 @@ class CaseBase:
 
     def __repr__(self) -> str:
         return f"CaseBase(n={len(self)})"
+
+
+def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
+    """A copy of ``array`` with room for ``capacity`` rows."""
+    bigger = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
+    bigger[: len(array)] = array
+    return bigger
 
 
 @dataclass(frozen=True)

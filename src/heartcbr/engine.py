@@ -5,32 +5,36 @@ of per-attribute similarities; reuse copies the solution of the single best
 match. The revise stage is a recorded no-op for binary outcomes, and retain
 appends the solved raw query to the case memory and refits the scaling.
 
-Scoring uses sequential summation on purpose: it keeps every global
-similarity provably inside [0, 1], makes self-similarity exactly 1.0, and
-makes scores symmetric, so callers can rely on those identities bit for bit.
+One numpy kernel, :func:`_score_block`, computes every score, one attribute
+at a time over a block of queries x cases: ``|q - c|``, ``1 - d``, clamp at
+0, ``num += w * sim``, then one division by the sequential weight sum. That
+is the float64 operation sequence of a per-pair loop (no np.sum, dot or
+matmul, which reorder additions), so scores lie in [0, 1], self-similarity is
+exactly 1.0 and scores are symmetric, bit for bit. Degenerate (zero-range)
+attributes match on equal raw values. The best case is the first argmax, the
+lowest id on ties as ids only increase; rankings sort by (-score, id).
+:func:`evaluate` holds at most BLOCK_PAIRS scores at once.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .analytics import CaseResult, ConfusionCounts, EvaluationReport
-from .cases import (
-    N_FEATURES,
-    Case,
-    CaseValidationError,
-    case_to_mapping,
-    to_feature_vector,
-    validate_case,
-)
-from .dataset import CaseBase
-from .scaling import NormalizationParams, fit_minmax, normalize
+from .cases import N_FEATURES, Case, CaseValidationError, case_to_mapping, validate_case
+from .dataset import CaseBase, feature_matrix
+from .scaling import NormalizationParams, fit_minmax
 
 logger = logging.getLogger(__name__)
 
 TIE_BREAK_POLICIES = ("lowest_case_id",)
+BLOCK_PAIRS = 32_768  # query-case scores that evaluate holds at once
 
 
 def _sequential_sum(values: Sequence[float]) -> float:
@@ -55,10 +59,10 @@ class SimilarityConfig:
     def __post_init__(self):
         if len(self.weights) != N_FEATURES:
             raise ValueError(f"expected {N_FEATURES} weights, got {len(self.weights)}")
-        if any(w < 0 or w != w for w in self.weights):
+        if any(not math.isfinite(w) or w < 0 for w in self.weights):
             raise ValueError("weights must be finite and non-negative")
-        if _sequential_sum(self.weights) <= 0.0:
-            raise ValueError("weights must not all be zero")
+        if not 0.0 < self.weight_sum < math.inf:
+            raise ValueError("weights must not all be zero and must have a finite sum")
         if self.tie_break not in TIE_BREAK_POLICIES:
             raise ValueError(f"unknown tie-break policy {self.tie_break!r}")
 
@@ -97,27 +101,60 @@ def local_similarity(a: float, b: float, attr_range: float, degenerate: bool = F
     return sim if sim > 0.0 else 0.0
 
 
-def _score_scaled(
-    query: Sequence[float],
-    row: Sequence[float],
-    weights: Sequence[float],
-    degenerate: Sequence[bool],
-    weight_sum: float,
-) -> float:
-    # Scaled space: every non-degenerate attribute has range exactly 1.
-    num = 0.0
-    for a, b, w, deg in zip(query, row, weights, degenerate):
+def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.ndarray:
+    """Scores of every query row against every case row, shape (queries, cases).
+
+    Rows are scaled (range 1), but degenerate attributes match only on equal values.
+    """
+    num = np.zeros((len(queries), len(cases)))
+    sim = np.empty_like(num)
+    for j, (w, deg) in enumerate(zip(weights, degenerate)):
+        q, c = queries[:, j, np.newaxis], cases[np.newaxis, :, j]
         if deg:
-            sim = 1.0 if a == b else 0.0
+            np.equal(q, c, out=sim)
         else:
-            diff = a - b
-            if diff < 0.0:
-                diff = -diff
-            sim = 1.0 - diff
-            if sim < 0.0:
-                sim = 0.0
-        num += w * sim
-    return num / weight_sum
+            np.subtract(q, c, out=sim)
+            np.abs(sim, out=sim)
+            np.subtract(1.0, sim, out=sim)
+            np.maximum(sim, 0.0, out=sim)
+        if w != 1.0:  # x * 1.0 == x, so skipping it keeps the bits
+            sim *= w
+        num += sim
+    num /= weight_sum
+    return num
+
+
+def _prepare(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
+    """Kernel rows from raw features: ``(x - lo) / range``, raw on degenerate attributes."""
+    if features.shape[1] != len(params):
+        raise ValueError(f"{features.shape[1]} attributes do not match parameters ({len(params)})")
+    degenerate = np.array(params.degenerate, dtype=bool)
+    rows = (features - np.array(params.mins)) / np.where(degenerate, 1.0, params.ranges)
+    rows[:, degenerate] = features[:, degenerate]
+    return rows
+
+
+def _score_blocks(
+    queries: Sequence[Case],
+    case_base: CaseBase,
+    config: SimilarityConfig,
+    params: NormalizationParams,
+) -> Iterator[np.ndarray]:
+    """Scores of the queries against every stored case, in blocks of consecutive queries."""
+    if len(case_base) == 0:
+        raise ValueError("cannot retrieve from an empty case base")
+    cases = _prepare(case_base.arrays()[0], params)
+    rows = _prepare(feature_matrix(queries), params)
+    step = max(1, BLOCK_PAIRS // len(cases))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        yield _score_block(block, cases, config.weights, params.degenerate, config.weight_sum)
+
+
+def _ranking(scores: np.ndarray, ids, targets, top_k: int | None = None) -> list[RankedMatch]:
+    order = np.lexsort((ids, -scores))[:top_k]
+    columns = (np.asarray(ids)[order], scores[order], np.asarray(targets)[order])
+    return list(map(RankedMatch._make, zip(*(column.tolist() for column in columns))))
 
 
 def global_similarity(
@@ -129,7 +166,9 @@ def global_similarity(
     """Weighted average of the 13 local similarities between scaled vectors."""
     if len(query) != N_FEATURES or len(case) != N_FEATURES:
         raise ValueError("global similarity is defined over 13-attribute vectors")
-    return _score_scaled(query, case, config.weights, params.degenerate, config.weight_sum)
+    rows = np.array([query, case], dtype=np.float64)
+    score = _score_block(rows[:1], rows[1:], config.weights, params.degenerate, config.weight_sum)
+    return score.item()
 
 
 def rank_scaled(
@@ -147,13 +186,10 @@ def rank_scaled(
     """
     if degenerate is None:
         degenerate = (False,) * len(query)
-    weight_sum = _sequential_sum(weights)
-    matches = [
-        RankedMatch(ids[i], _score_scaled(query, rows[i], weights, degenerate, weight_sum), targets[i])
-        for i in range(len(rows))
-    ]
-    matches.sort(key=lambda m: (-m.score, m.case_id))
-    return matches
+    queries = np.array([query], dtype=np.float64)
+    cases = np.array(rows, dtype=np.float64).reshape(len(rows), len(query))
+    scores = _score_block(queries, cases, weights, degenerate, _sequential_sum(weights))
+    return _ranking(scores[0], ids, targets)
 
 
 def retrieve(
@@ -163,17 +199,8 @@ def retrieve(
     params: NormalizationParams,
 ) -> list[RankedMatch]:
     """Rank every stored case against the query, highest similarity first."""
-    if len(case_base) == 0:
-        raise ValueError("cannot retrieve from an empty case base")
-    scaled_query = normalize(to_feature_vector(query), params)
-    ids: list[int] = []
-    rows: list[tuple[float, ...]] = []
-    targets: list[int] = []
-    for case_id, case in case_base:
-        ids.append(case_id)
-        rows.append(normalize(to_feature_vector(case), params))
-        targets.append(case.target)  # type: ignore[arg-type]
-    ranked = rank_scaled(scaled_query, rows, ids, targets, config.weights, params.degenerate)
+    scores = next(_score_blocks([query], case_base, config, params))[0]
+    ranked = _ranking(scores, *case_base.arrays()[1:])
     logger.debug("retrieve: ranked %d cases, best id %d", len(ranked), ranked[0].case_id)
     return ranked
 
@@ -199,17 +226,14 @@ def predict(
     The revise stage is intentionally a no-op: with a binary outcome there is
     nothing to adapt, so the reused solution is final.
     """
-    ranked = retrieve(query, case_base, config, params)
-    predicted = reuse(ranked)
+    scores = next(_score_blocks([query], case_base, config, params))[0]
+    _, ids, targets = case_base.arrays()
+    best = int(scores.argmax())
+    predicted = targets[best].item()
+    logger.debug("reuse: case %d, score %.6f -> target %d", ids[best], scores[best], predicted)
     logger.debug("revise: no-op (binary solution)")
-    best = ranked[0]
-    kept = tuple(ranked if top_k is None else ranked[:top_k])
-    return Prediction(
-        predicted_target=predicted,
-        best_case_id=best.case_id,
-        best_global_similarity=best.score,
-        ranked=kept,
-    )
+    ranked = tuple(_ranking(scores, ids, targets, top_k))
+    return Prediction(predicted, ids[best].item(), scores[best].item(), ranked)
 
 
 def retain(
@@ -245,8 +269,8 @@ def evaluate(
     With ``config.incremental_retain`` each test case is retained with its
     predicted target before the next prediction, growing the case base as it
     goes (and mutating the one passed in); otherwise the base and scaling
-    stay frozen. The merged accuracy counts every original training case as
-    correct by self-retrieval.
+    stay frozen and the queries are scored in blocks. The merged accuracy
+    counts every original training case as correct by self-retrieval.
     """
     if not test_cases:
         raise ValueError("cannot evaluate an empty test set")
@@ -255,58 +279,33 @@ def evaluate(
             raise ValueError(f"test case {index} is missing a target")
 
     n_train = len(case_base)
-    results: list[CaseResult] = []
-
+    best: list[tuple[int, float, int]] = []  # (predicted target, score, case id) per query
     if config.incremental_retain:
-        for index, case in enumerate(test_cases):
-            prediction = predict(case, case_base, config, params)
-            results.append(
-                CaseResult(
-                    index=index,
-                    true_target=case.target,  # type: ignore[arg-type]
-                    predicted_target=prediction.predicted_target,
-                    best_similarity=prediction.best_global_similarity,
-                    best_case_id=prediction.best_case_id,
-                )
-            )
-            case_base, params = retain(case, prediction.predicted_target, case_base)
+        for case in test_cases:
+            p = predict(case, case_base, config, params, top_k=1)
+            best.append((p.predicted_target, p.best_global_similarity, p.best_case_id))
+            case_base, params = retain(case, p.predicted_target, case_base)
     else:
-        ids: list[int] = []
-        rows: list[tuple[float, ...]] = []
-        targets: list[int] = []
-        for case_id, case in case_base:
-            ids.append(case_id)
-            rows.append(normalize(to_feature_vector(case), params))
-            targets.append(case.target)  # type: ignore[arg-type]
-        for index, case in enumerate(test_cases):
-            scaled_query = normalize(to_feature_vector(case), params)
-            ranked = rank_scaled(
-                scaled_query, rows, ids, targets, config.weights, params.degenerate
-            )
-            predicted = reuse(ranked)
-            best = ranked[0]
-            results.append(
-                CaseResult(
-                    index=index,
-                    true_target=case.target,  # type: ignore[arg-type]
-                    predicted_target=predicted,
-                    best_similarity=best.score,
-                    best_case_id=best.case_id,
-                )
-            )
+        _, ids, targets = case_base.arrays()
+        for scores in _score_blocks(test_cases, case_base, config, params):
+            top = scores.argmax(axis=1)
+            top_scores = scores[np.arange(len(top)), top]
+            best.extend(zip(targets[top].tolist(), top_scores.tolist(), ids[top].tolist()))
 
-    correct = sum(1 for r in results if r.predicted_target == r.true_target)
+    results = tuple(
+        CaseResult(index, case.target, predicted, score, case_id)  # type: ignore[arg-type]
+        for index, (case, (predicted, score, case_id)) in enumerate(zip(test_cases, best))
+    )
+    outcomes = Counter((r.true_target, r.predicted_target) for r in results)
+    correct = outcomes[0, 0] + outcomes[1, 1]
     n_test = len(results)
-    tp = sum(1 for r in results if r.true_target == 1 and r.predicted_target == 1)
-    tn = sum(1 for r in results if r.true_target == 0 and r.predicted_target == 0)
-    fp = sum(1 for r in results if r.true_target == 0 and r.predicted_target == 1)
-    fn = sum(1 for r in results if r.true_target == 1 and r.predicted_target == 0)
-
     return EvaluationReport(
-        per_case=tuple(results),
+        per_case=results,
         test_accuracy=correct / n_test,
         merged_accuracy=(n_train + correct) / (n_train + n_test),
-        confusion=ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn),
+        confusion=ConfusionCounts(
+            tp=outcomes[1, 1], tn=outcomes[0, 0], fp=outcomes[0, 1], fn=outcomes[1, 0]
+        ),
         n_train=n_train,
         n_test=n_test,
     )

@@ -4,18 +4,19 @@ Fitting records per-attribute extrema of the raw training data. Scaled
 training values land in [0, 1] exactly; test values outside the training
 extrema are deliberately not clamped here (the similarity measure clamps
 instead, keeping a single auditable clamp point). A zero-range attribute is
-flagged degenerate and scales to 0.
+flagged degenerate and scales to 0; retrieval compares its raw values instead.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cases import FEATURE_NAMES, Case, to_feature_vector
-from .dataset import CaseBase
+from .cases import FEATURE_NAMES, Case
+from .dataset import CaseBase, feature_matrix
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,13 @@ class NormalizationParams:
         n = len(self.mins)
         if not (len(self.maxs) == len(self.ranges) == len(self.degenerate) == n):
             raise ValueError("parameter tuples must have equal length")
-        for rng, flag in zip(self.ranges, self.degenerate):
-            if rng < 0:
-                raise ValueError("attribute range must be non-negative")
+        for lo, hi, rng, flag in zip(self.mins, self.maxs, self.ranges, self.degenerate):
+            if not all(math.isfinite(x) for x in (lo, hi, rng)):
+                raise ValueError("attribute extrema and range must be finite")
+            if hi < lo:
+                raise ValueError(f"attribute max {hi!r} is below its min {lo!r}")
+            if rng != hi - lo:
+                raise ValueError(f"attribute range {rng!r} is not max - min = {hi - lo!r}")
             if flag != (rng == 0.0):
                 raise ValueError("degenerate flag must mark exactly the zero ranges")
 
@@ -47,19 +52,27 @@ def fit_from_vectors(vectors: Iterable[Sequence[float]]) -> NormalizationParams:
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("feature vectors must all have the same length")
-    mins = tuple(min(row[i] for row in rows) for i in range(width))
-    maxs = tuple(max(row[i] for row in rows) for i in range(width))
+    mins = [min(row[i] for row in rows) for i in range(width)]
+    maxs = [max(row[i] for row in rows) for i in range(width)]
+    return _from_extrema(mins, maxs)
+
+
+def _from_extrema(mins: Sequence[float], maxs: Sequence[float]) -> NormalizationParams:
     ranges = tuple(hi - lo for lo, hi in zip(mins, maxs))
     degenerate = tuple(rng == 0.0 for rng in ranges)
-    return NormalizationParams(mins, maxs, ranges, degenerate)
+    return NormalizationParams(tuple(mins), tuple(maxs), ranges, degenerate)
 
 
 def fit_minmax(train: CaseBase | Iterable[Case]) -> NormalizationParams:
-    """Fit scaling parameters on the training split."""
-    cases = train.cases() if isinstance(train, CaseBase) else list(train)
-    if not cases:
+    """Fit scaling parameters on the training split.
+
+    The extrema are column minima and maxima of the raw feature matrix, which
+    are exact, so they equal a row-by-row scan bit for bit.
+    """
+    features = train.arrays()[0] if isinstance(train, CaseBase) else feature_matrix(list(train))
+    if not len(features):
         raise ValueError("cannot fit normalization on an empty training set")
-    return fit_from_vectors(to_feature_vector(case) for case in cases)
+    return _from_extrema(features.min(axis=0).tolist(), features.max(axis=0).tolist())
 
 
 def normalize(vector: Sequence[float], params: NormalizationParams) -> tuple[float, ...]:
@@ -95,6 +108,11 @@ def write_params(params: NormalizationParams, path) -> None:
 
 
 def read_params(path) -> NormalizationParams:
+    """Load a sidecar written by :func:`write_params`.
+
+    Rejects hand-edited files whose extrema are not finite, whose max lies
+    below its min, or whose range is not max - min.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     missing = [name for name in FEATURE_NAMES if name not in payload]
     if missing:

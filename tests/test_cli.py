@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,18 @@ def test_evaluate_malformed_weights_is_usage_error(tmp_path, synthetic_csv):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan", "-1"])
+def test_evaluate_invalid_weight_value_is_an_error(tmp_path, synthetic_csv, capsys, bad):
+    weights = ",".join([bad] + ["1"] * 12)
+    args = ["--input", str(synthetic_csv), f"--weights={weights}", "--out-dir", str(tmp_path)]
+    rc = main(["evaluate", *args])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: weights:")
+    assert "finite and non-negative" in err
+    assert not (tmp_path / "evaluation_report.json").exists()
+
+
 def test_evaluate_custom_weights_recorded(tmp_path, synthetic_csv):
     weights = ",".join(["2"] * 13)
     rc = main(
@@ -193,6 +206,17 @@ def test_predict_incomplete_query_flags(split_dir, capsys):
     rc = main(["predict", "--case-base", str(split_dir / "case_base.csv"), "--age", "50"])
     assert rc == 1
     assert "missing query fields" in capsys.readouterr().err
+
+
+def test_predict_rejects_hand_edited_sidecar(split_dir, capsys):
+    sidecar = split_dir / "normalization.json"
+    payload = read_json(sidecar)
+    payload["chol"]["max"] = float("inf")
+    sidecar.write_text(json.dumps(payload), encoding="utf-8")
+    stored = parse_csv(split_dir / "train.csv")[0]
+    rc = main(["predict", "--case-base", str(split_dir / "case_base.csv"), *query_flags(stored)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: load:")
 
 
 def test_predict_invalid_field_value(split_dir, capsys):
@@ -327,3 +351,46 @@ def test_run_all_emits_full_output_set(tmp_path, synthetic_csv):
     ]
     for name in expected:
         assert (tmp_path / name).exists(), name
+
+
+# SHA-256 of the report files of run-all on the 1,025-row synthetic set (seed
+# 7), recorded with the pure-Python per-pair scorer that preceded the numpy
+# kernel. Any change to a score, a tie-break or the report format shows here.
+REPORT_DIGESTS = {
+    "frozen": {
+        "evaluation_report.json": "4f6da02474e2e54ace11eb5b0dd46a585fbdd4a9498114f2d926606e4e788532",
+        "per_case.csv": "6420591ec7ad1c42e3c68f61d4275d859bcd4cf0c1dec55815e706671592f37f",
+    },
+    "incremental": {
+        "evaluation_report.json": "cd5f7cb98cf54ff3937b18291f24de0a5e4405e4feae3892b20f54222087afb3",
+        "per_case.csv": "39c08262d1fec719f77b6eca662b61157b613feed3750f65b32cc696fe00675f",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def paper_sized_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "synthetic_1025.csv"
+    write_synthetic_dataset(path, 1025, seed=7)
+    return path
+
+
+@pytest.mark.parametrize("mode", ["frozen", "incremental"])
+def test_run_all_reports_are_byte_identical_to_recorded_digests(tmp_path, paper_sized_csv, mode):
+    flags = ["--incremental-retain"] if mode == "incremental" else []
+    rc = main(["run-all", "--input", str(paper_sized_csv), "--out-dir", str(tmp_path), *flags])
+    assert rc == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in REPORT_DIGESTS[mode]
+    }
+    assert digests == REPORT_DIGESTS[mode]
+
+
+def test_run_all_incremental_retain_predicted_stats_cover_every_row(tmp_path, synthetic_csv):
+    args = ["--input", str(synthetic_csv), "--out-dir", str(tmp_path), "--incremental-retain"]
+    rc = main(["run-all", *args])
+    assert rc == 0
+    report = read_json(tmp_path / "evaluation_report.json")
+    rows = (tmp_path / "predicted_disease_counts.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert sum(int(line.rsplit(",", 1)[1]) for line in rows) == report["n_train"] + report["n_test"]

@@ -2,10 +2,11 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from heartcbr.cases import Case
+from heartcbr.cases import Case, to_feature_vector
 from heartcbr.dataset import (
     CaseBase,
     DatasetError,
@@ -233,3 +234,35 @@ def test_write_cases_reparses(tmp_path):
     path = tmp_path / "cases.csv"
     write_cases(cases, path)
     assert parse_csv(path) == cases
+
+
+def test_case_base_arrays_mirror_the_cases_and_grow_in_place():
+    base = CaseBase.from_cases([make_case(chol=100, target=0), make_case(chol=200, target=1)])
+    features, ids, targets = base.arrays()
+    assert features.dtype == np.float64 and features.shape == (2, 13)
+    before = features
+    # More cases than the initial spare rows, so the matrix grows too.
+    for k in range(100):
+        base.add(make_case(chol=300 + k, target=k % 2))
+    features, ids, targets = base.arrays()
+    assert features.tolist() == [list(to_feature_vector(c)) for c in base.cases()]
+    assert ids.tolist() == base.ids()
+    assert targets.tolist() == [c.target for c in base.cases()]
+    assert before.shape == (2, 13)  # views taken earlier keep their rows
+
+
+def test_case_base_arrays_are_read_only():
+    features, ids, targets = CaseBase.from_cases([make_case()]).arrays()
+    for view in (features, ids, targets):
+        with pytest.raises(ValueError):
+            view[0] = 0
+
+
+def test_case_base_arrays_keep_given_ids():
+    entries = [(3, make_case(chol=150)), (7, make_case(chol=250, target=0))]
+    base = CaseBase(entries)
+    _, ids, targets = base.arrays()
+    assert ids.tolist() == [3, 7]
+    assert targets.tolist() == [1, 0]
+    base.add(make_case())
+    assert base.arrays()[1].tolist() == [3, 7, 8]

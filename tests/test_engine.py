@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from heartcbr.cases import Case, CaseValidationError, to_feature_vector
+from heartcbr.cases import FEATURE_NAMES, Case, CaseValidationError, to_feature_vector
 from heartcbr.dataset import CaseBase
 from heartcbr.engine import (
     Prediction,
@@ -77,6 +78,19 @@ def test_config_defaults():
 def test_config_rejects_bad_weights(weights):
     with pytest.raises(ValueError):
         SimilarityConfig(weights=weights)
+
+
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"]
+)
+def test_config_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SimilarityConfig(weights=(bad,) + (1.0,) * 12)
+
+
+def test_config_rejects_weights_whose_sum_overflows():
+    with pytest.raises(ValueError, match="finite sum"):
+        SimilarityConfig(weights=(1e308,) * 13)
 
 
 def test_config_rejects_unknown_tie_break():
@@ -348,6 +362,27 @@ def test_predict_agrees_with_distance_oracle_on_case_instances():
         rows = [normalize(to_feature_vector(c), params) for c in base.cases()]
         oracle_id = weighted_l1_argmin(scaled_query, rows, base.ids(), config.weights)
         assert prediction.best_case_id == oracle_id
+
+
+def test_degenerate_attribute_matches_on_raw_value_only():
+    # fbs is 0 in every stored case, so its range is zero; a query with
+    # fbs=1 must not match it, although both sides scale to 0.
+    base = CaseBase.from_cases(
+        [make_case(age=40, fbs=0, target=0), make_case(age=60, fbs=0, target=1)]
+    )
+    params = fit_minmax(base)
+    assert params.degenerate[FEATURE_NAMES.index("fbs")]
+    config = SimilarityConfig()
+
+    mismatch = predict(make_case(age=40, fbs=1), base, config, params)
+    assert mismatch.best_case_id == 0
+    assert mismatch.best_global_similarity < 1.0
+    assert mismatch.best_global_similarity == 12 / 13
+    assert predict(make_case(age=40, fbs=0), base, config, params).best_global_similarity == 1.0
+
+    report = evaluate([make_case(age=40, fbs=1, target=0)], base, config, params)
+    assert report.per_case[0].best_similarity == 12 / 13
+    assert retrieve(make_case(age=40, fbs=1), base, config, params)[0].score == 12 / 13
 
 
 # --- retain -------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 from hypothesis import given
 
@@ -118,3 +121,43 @@ def test_sidecar_round_trip(tmp_path):
     path = tmp_path / "normalization.json"
     write_params(params, path)
     assert read_params(path) == params
+
+
+@given(cases_strategy(min_size=1, max_size=15))
+def test_fit_on_case_base_matrix_equals_row_scan(cases):
+    base = CaseBase.from_cases(cases)
+    assert fit_minmax(base) == fit_from_vectors(to_feature_vector(c) for c in cases)
+
+
+def test_fit_follows_cases_added_after_the_matrix_is_built():
+    base = CaseBase.from_cases([make_case(chol=100), make_case(chol=300)])
+    fit_minmax(base)
+    base.add(make_case(chol=50))
+    params = fit_minmax(base)
+    assert (params.mins[CHOL], params.maxs[CHOL], params.ranges[CHOL]) == (50, 300, 250)
+
+
+def edited_sidecar(tmp_path, **chol):
+    params = fit_minmax([make_case(chol=100), make_case(chol=300)])
+    path = tmp_path / "normalization.json"
+    write_params(params, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["chol"].update(chol)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"min": math.nan}, "finite"),
+        ({"max": math.inf, "range": math.inf}, "finite"),
+        ({"range": -math.inf}, "finite"),
+        ({"min": 300.0, "max": 100.0, "range": -200.0}, "below its min"),
+        ({"range": 150.0}, "not max - min"),
+    ],
+    ids=["nan-min", "inf-max", "inf-range", "max-below-min", "range-mismatch"],
+)
+def test_read_params_rejects_hand_edited_sidecar(tmp_path, edit, message):
+    with pytest.raises(ValueError, match=message):
+        read_params(edited_sidecar(tmp_path, **edit))
