@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -119,23 +119,71 @@ def init_mlp(sizes: tuple[int, int, int] = DEFAULT_SIZES, eta: float = 0.1, seed
     return MlpModel(sizes=tuple(sizes), w_hidden=w_hidden, w_out=w_out, eta=eta, seed=seed)
 
 
-def _sigmoid_array(y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    pos = y >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-    z = np.exp(y[~pos])
-    out[~pos] = z / (1.0 + z)
-    return out
+# -- scalar core -------------------------------------------------------------
+#
+# One copy of the network arithmetic, on plain Python lists: weight rows come
+# from ``ndarray.tolist()`` and every input vector carries the bias entry 1.0
+# last. Sums run in index order, so the bias term is added last. At 13-3-2 a
+# numpy call costs more than the arithmetic it does, so training and
+# evaluation run entirely here; ``forward``, ``backprop_deltas`` and
+# ``update_weights`` below are numpy adapters over the same helpers.
+
+
+def _with_bias(vector: Sequence[float], n_in: int) -> list[float]:
+    row = [float(v) for v in vector]
+    if len(row) != n_in:
+        raise ValueError(f"expected {n_in} inputs, got {len(row)}")
+    row.append(1.0)
+    return row
+
+
+def _weight_lists(model: MlpModel) -> tuple[list[list[float]], list[list[float]]]:
+    return model.w_hidden.tolist(), model.w_out.tolist()
+
+
+def _layer(weights: list[list[float]], inputs: list[float]) -> list[float]:
+    activations = []
+    for row in weights:
+        net = 0.0
+        for w, v in zip(row, inputs):
+            net += w * v
+        activations.append(sigmoid(net))
+    return activations
+
+
+def _forward(w_hidden, w_out, x: list[float]) -> tuple[list[float], list[float]]:
+    """(hidden with the bias 1.0 appended, outputs) for a bias-augmented input."""
+    hidden = _layer(w_hidden, x)
+    hidden.append(1.0)
+    return hidden, _layer(w_out, hidden)
+
+
+def _deltas(w_out, hidden: list[float], outputs: list[float], targets: Sequence[float]):
+    """Output and hidden delta terms; ``hidden`` carries the bias entry, which gets none."""
+    out_deltas = [output_delta(o, t) for o, t in zip(outputs, targets)]
+    hidden_deltas = [
+        hidden_delta(o_h, zip(column, out_deltas)) for o_h, column in zip(hidden[:-1], zip(*w_out))
+    ]
+    return out_deltas, hidden_deltas
+
+
+def _update(w_hidden, w_out, eta: float, x, hidden, out_deltas, hidden_deltas) -> None:
+    """w <- w + eta * (delta * input) for every weight, in place."""
+    for weights, deltas, inputs in ((w_out, out_deltas, hidden), (w_hidden, hidden_deltas, x)):
+        for row, delta in zip(weights, deltas):
+            for i, v in enumerate(inputs):
+                row[i] += eta * (delta * v)
+
+
+def _predict(w_hidden, w_out, x: list[float]) -> int:
+    _, outputs = _forward(w_hidden, w_out, x)
+    return outputs.index(max(outputs))
 
 
 def forward(model: MlpModel, inputs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Layer-wise sigmoid activations: returns (hidden, outputs)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.shape != (model.sizes[0],):
-        raise ValueError(f"expected {model.sizes[0]} inputs, got {x.shape}")
-    hidden = _sigmoid_array(model.w_hidden @ np.append(x, 1.0))
-    outputs = _sigmoid_array(model.w_out @ np.append(hidden, 1.0))
-    return hidden, outputs
+    hidden, outputs = _forward(*_weight_lists(model), _with_bias(inputs, model.sizes[0]))
+    return np.array(hidden[:-1]), np.array(outputs)
 
 
 def output_delta(o_k: float, t_k: float) -> float:
@@ -143,7 +191,7 @@ def output_delta(o_k: float, t_k: float) -> float:
     return o_k * (1.0 - o_k) * (t_k - o_k)
 
 
-def hidden_delta(o_h: float, downstream: Sequence[tuple[float, float]]) -> float:
+def hidden_delta(o_h: float, downstream: Iterable[tuple[float, float]]) -> float:
     """Error term for a hidden unit: o(1 - o) * sum of w_kh * delta_k."""
     back = 0.0
     for w_kh, delta_k in downstream:
@@ -155,11 +203,13 @@ def backprop_deltas(
     model: MlpModel, hidden: np.ndarray, outputs: np.ndarray, targets: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delta error terms for every output and hidden unit."""
-    t = np.asarray(targets, dtype=np.float64)
-    out_deltas = outputs * (1.0 - outputs) * (t - outputs)
-    back = model.w_out[:, :-1].T @ out_deltas
-    hidden_deltas = hidden * (1.0 - hidden) * back
-    return out_deltas, hidden_deltas
+    out_deltas, hidden_deltas = _deltas(
+        model.w_out.tolist(),
+        _with_bias(hidden, model.sizes[1]),
+        [float(o) for o in outputs],
+        [float(t) for t in targets],
+    )
+    return np.array(out_deltas), np.array(hidden_deltas)
 
 
 def update_weights(
@@ -170,10 +220,18 @@ def update_weights(
     hidden: np.ndarray,
 ) -> MlpModel:
     """Apply w <- w + eta * delta * input to every weight, in place."""
-    x = np.append(np.asarray(inputs, dtype=np.float64), 1.0)
-    h = np.append(hidden, 1.0)
-    model.w_out += model.eta * np.outer(out_deltas, h)
-    model.w_hidden += model.eta * np.outer(hidden_deltas, x)
+    w_hidden, w_out = _weight_lists(model)
+    _update(
+        w_hidden,
+        w_out,
+        model.eta,
+        _with_bias(inputs, model.sizes[0]),
+        _with_bias(hidden, model.sizes[1]),
+        [float(d) for d in out_deltas],
+        [float(d) for d in hidden_deltas],
+    )
+    model.w_hidden[:] = w_hidden
+    model.w_out[:] = w_out
     return model
 
 
@@ -197,7 +255,8 @@ def train_mlp(
     One weight update per example per epoch. The logged error is the mean of
     0.5 * sum((t - o)^2) over the epoch's examples, each measured before its
     update. Deterministic given the seed; eta = 0 leaves the initial weights
-    untouched.
+    untouched. The weights are copied to lists once, trained in the scalar
+    core and written back into the model at the end.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -205,26 +264,34 @@ def train_mlp(
         raise ValueError("cannot train on an empty set")
     if len(vectors) != len(labels):
         raise ValueError("vectors and labels must be aligned")
+    if sizes[2] != 2:
+        raise ValueError(f"one-hot targets need 2 output units, got {sizes[2]}")
 
-    model = init_mlp(sizes=sizes, eta=eta, seed=seed)
+    rows = [_with_bias(x, sizes[0]) for x in vectors]
     targets = [one_hot_target(label) for label in labels]
+    model = init_mlp(sizes=sizes, eta=eta, seed=seed)
+    w_hidden, w_out = _weight_lists(model)
     mse_log: list[float] = []
     for _ in range(epochs):
         total_error = 0.0
-        for x, t in zip(vectors, targets):
-            hidden, outputs = forward(model, x)
-            diff = np.asarray(t) - outputs
-            total_error += 0.5 * float(np.dot(diff, diff))
-            out_deltas, hidden_deltas = backprop_deltas(model, hidden, outputs, t)
-            update_weights(model, out_deltas, hidden_deltas, x, hidden)
-        mse_log.append(total_error / len(vectors))
+        for x, t in zip(rows, targets):
+            hidden, outputs = _forward(w_hidden, w_out, x)
+            error = 0.0
+            for t_k, o_k in zip(t, outputs):
+                diff = t_k - o_k
+                error += diff * diff
+            total_error += 0.5 * error
+            out_deltas, hidden_deltas = _deltas(w_out, hidden, outputs, t)
+            _update(w_hidden, w_out, eta, x, hidden, out_deltas, hidden_deltas)
+        mse_log.append(total_error / len(rows))
+    model.w_hidden[:] = w_hidden
+    model.w_out[:] = w_out
     return model, mse_log
 
 
 def predict_mlp(model: MlpModel, inputs: Sequence[float]) -> int:
     """Class of the larger output unit; ties resolve to class 0."""
-    _, outputs = forward(model, inputs)
-    return int(np.argmax(outputs))
+    return _predict(*_weight_lists(model), _with_bias(inputs, model.sizes[0]))
 
 
 def evaluate_mlp(
@@ -232,7 +299,11 @@ def evaluate_mlp(
 ) -> float:
     if not vectors:
         raise ValueError("cannot evaluate on an empty set")
-    correct = sum(1 for x, lab in zip(vectors, labels) if predict_mlp(model, x) == lab)
+    w_hidden, w_out = _weight_lists(model)
+    n_in = model.sizes[0]
+    correct = sum(
+        1 for x, lab in zip(vectors, labels) if _predict(w_hidden, w_out, _with_bias(x, n_in)) == lab
+    )
     return correct / len(vectors)
 
 

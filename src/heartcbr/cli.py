@@ -96,8 +96,10 @@ def _config_payload(args) -> dict:
     }
 
 
-def _split_pipeline(args):
-    cases = _stage("parse", parse_csv, args.input, _mode(args))
+def _split_pipeline(args, cases=None):
+    """Parse the input (unless already parsed) and split it."""
+    if cases is None:
+        cases = _stage("parse", parse_csv, args.input, _mode(args))
     split = _stage("split", split_sequential, cases, args.train_fraction)
     return cases, split
 
@@ -127,8 +129,8 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _run_evaluation(args):
-    _, split = _split_pipeline(args)
+def _run_evaluation(args, cases=None):
+    _, split = _split_pipeline(args, cases)
     params = _stage("fit", fit_minmax, split.train)
     config = _config(args)
     return _stage("evaluate", evaluate, split.test, split.train, config, params)
@@ -164,7 +166,7 @@ def cmd_stats(args) -> int:
         raise CliError("stats: every input row needs a target")
     true_stats = _stage("stats", analytics.dataset_stats, cases, truths)
 
-    report = _run_evaluation(args)
+    report = _run_evaluation(args, cases)
     merged_labels = _merged_labels(truths, report)
     predicted_stats = _stage("stats", analytics.dataset_stats, cases, merged_labels)
 
@@ -258,7 +260,7 @@ def cmd_predict(args) -> int:
 
     query = _build_query(args)
     config = _config(args)
-    prediction = _stage("predict", predict, query, case_base, config, params)
+    prediction = _stage("predict", predict, query, case_base, config, params, top_k=1)
 
     retained = False
     if args.retain:

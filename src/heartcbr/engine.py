@@ -33,7 +33,6 @@ from .scaling import NormalizationParams, fit_minmax
 
 logger = logging.getLogger(__name__)
 
-TIE_BREAK_POLICIES = ("lowest_case_id",)
 BLOCK_PAIRS = 32_768  # query-case scores that evaluate holds at once
 
 
@@ -46,14 +45,13 @@ def _sequential_sum(values: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    """Per-attribute weights and retrieval policy.
+    """Per-attribute weights and the evaluation mode.
 
     Weights default to 1.0 each; only their ratios matter because the score
     divides by their sum. Ties are always resolved toward the lowest case id.
     """
 
     weights: tuple[float, ...] = (1.0,) * N_FEATURES
-    tie_break: str = "lowest_case_id"
     incremental_retain: bool = False
 
     def __post_init__(self):
@@ -63,8 +61,6 @@ class SimilarityConfig:
             raise ValueError("weights must be finite and non-negative")
         if not 0.0 < self.weight_sum < math.inf:
             raise ValueError("weights must not all be zero and must have a finite sum")
-        if self.tie_break not in TIE_BREAK_POLICIES:
-            raise ValueError(f"unknown tie-break policy {self.tie_break!r}")
 
     @property
     def weight_sum(self) -> float:

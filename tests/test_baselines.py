@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ from heartcbr.baselines import (
     write_model,
     write_training_log,
 )
+from heartcbr.cases import to_feature_vector, validate_case
+from heartcbr.dataset import split_sequential
+from heartcbr.scaling import fit_minmax, normalize
+from heartcbr.synthetic import generate_rows
 
 # --- membership functions -------------------------------------------------------
 
@@ -228,6 +233,33 @@ def test_backprop_deltas_match_scalar_rules():
         assert hidden_deltas[h] == pytest.approx(hidden_delta(hidden[h], downstream), abs=1e-15)
 
 
+def test_forward_and_deltas_are_numpy_arrays_equal_to_the_scalar_rules():
+    model = init_mlp(sizes=(3, 2, 2), seed=5)
+    x = (0.2, -0.4, 0.9)
+    t = one_hot_target(0)
+    hidden, outputs = forward(model, x)
+    out_deltas, hidden_deltas = backprop_deltas(model, hidden, outputs, t)
+    for array in (hidden, outputs, out_deltas, hidden_deltas):
+        assert isinstance(array, np.ndarray)
+        assert array.dtype == np.float64 and array.shape == (2,)
+
+    def unit(weights, inputs):
+        net = 0.0
+        for w, v in zip(weights, inputs):  # index order, bias entry last
+            net += w * v
+        return sigmoid(net)
+
+    w_hidden, w_out = model.w_hidden.tolist(), model.w_out.tolist()
+    h = [unit(row, [*x, 1.0]) for row in w_hidden]
+    o = [unit(row, [*h, 1.0]) for row in w_out]
+    assert hidden.tolist() == h
+    assert outputs.tolist() == o
+    assert out_deltas.tolist() == [output_delta(o[k], t[k]) for k in range(2)]
+    assert hidden_deltas.tolist() == [
+        hidden_delta(h[j], [(w_out[k][j], out_deltas[k]) for k in range(2)]) for j in range(2)
+    ]
+
+
 def test_update_weights_rule():
     model = init_mlp(sizes=(1, 1, 1), eta=0.1, seed=0)
     model.w_hidden[:] = 0.0
@@ -330,6 +362,17 @@ def test_train_mlp_validates_arguments():
         train_mlp([], [], epochs=1)
     with pytest.raises(ValueError):
         train_mlp(XOR_X, XOR_Y[:-1], epochs=1)
+    with pytest.raises(ValueError):
+        train_mlp(XOR_X, XOR_Y, epochs=1, sizes=(2, 3, 1))
+
+
+def test_train_and_evaluate_reject_a_vector_of_the_wrong_length():
+    vectors = [(0.0, 0.0), (0.0, 1.0, 0.5), (1.0, 0.0)]
+    with pytest.raises(ValueError, match="expected 2 inputs"):
+        train_mlp(vectors, [0, 1, 1], epochs=1, sizes=(2, 3, 2))
+    model = init_mlp(sizes=(2, 3, 2), seed=0)
+    with pytest.raises(ValueError, match="expected 2 inputs"):
+        evaluate_mlp(model, vectors, [0, 1, 1])
 
 
 def test_predict_mlp_ties_resolve_to_class_zero():
@@ -382,3 +425,70 @@ def test_default_architecture_is_13_3_2():
     assert model.sizes == (13, 3, 2)
     assert model.w_hidden.shape == (3, 14)
     assert model.w_out.shape == (2, 4)
+
+
+# --- regression pin --------------------------------------------------------------
+
+# train_mlp(epochs=2, eta=0.1, seed=7) on synthetic seed 7 (1,025 rows, no
+# duplicates), first 3/5 for training, min-max scaled on the training rows.
+# Recorded from the earlier numpy implementation; the index-order scalar sums
+# differ from its BLAS sums only in the last bits.
+PINNED_W_HIDDEN = [
+    [
+        0.024075724868968154, 0.0038230363928202548, 0.006339937340312461,
+        -0.04262095623869304, -0.03775105273306705, 0.008367058007276391,
+        -0.07970310899704089, -0.06251056720374024, 0.14823262906990795,
+        0.015991991514959805, -0.026386183402996307, -0.027833450865263062,
+        0.002972206467126463, -0.02129165275277007,
+    ],
+    [
+        0.010838101698772269, -0.03129932288304944, 0.02782339221292421,
+        0.01365235516828669, -0.006165674059922647, 0.020371445530743198,
+        -0.058857731930415165, -0.12718349690330397, 0.1255773001566124,
+        -0.0277982912849861, -0.053870276630134634, -0.00515499327209208,
+        0.022061548004169082, 0.02434717942030468,
+    ],
+    [
+        0.020917895693598525, -0.03234376100641752, -0.02012543874112597,
+        -0.03927030939447074, -0.0659603173690318, -0.055907764630686536,
+        -0.008202744141336638, -0.11204189048371826, 0.08464830066633268,
+        -0.03521515295470781, 0.025325940633878788, -0.0413016004762538,
+        -0.002665803515070953, 0.02101824474788389,
+    ],
+]
+PINNED_W_OUT = [
+    [
+        0.11771467379092873, 0.15576118187381593, 0.12050389065682243,
+        0.17499946735476202,
+    ],
+    [
+        -0.1772076534485632, -0.13686027713042337, -0.12497299722870536,
+        -0.15300971988692239,
+    ],
+]
+PINNED_MSE_LOG = [0.24273311888210009, 0.24173528896247048]
+PINNED_CORRECT = 243  # of 410 test rows
+
+
+def scaled_synthetic_split():
+    cases = [validate_case(row)[0] for row in generate_rows(1025, seed=7, duplicate_fraction=0.0)]
+    split = split_sequential(cases, Fraction(3, 5))
+    params = fit_minmax(split.train)
+    train = split.train.cases()
+    return (
+        [normalize(to_feature_vector(c), params) for c in train],
+        [c.target for c in train],
+        [normalize(to_feature_vector(c), params) for c in split.test],
+        [c.target for c in split.test],
+    )
+
+
+def test_train_mlp_matches_recorded_weights_log_and_accuracy():
+    train_v, train_l, test_v, test_l = scaled_synthetic_split()
+    model, log = train_mlp(train_v, train_l, epochs=2, eta=0.1, seed=7)
+    assert np.abs(model.w_hidden - np.array(PINNED_W_HIDDEN)).max() <= 1e-12
+    assert np.abs(model.w_out - np.array(PINNED_W_OUT)).max() <= 1e-12
+    assert len(log) == 2
+    assert all(abs(got - want) <= 1e-12 for got, want in zip(log, PINNED_MSE_LOG))
+    assert len(test_v) == 410
+    assert evaluate_mlp(model, test_v, test_l) == PINNED_CORRECT / 410

@@ -67,7 +67,6 @@ def test_config_defaults():
     config = SimilarityConfig()
     assert config.weights == (1.0,) * 13
     assert config.weight_sum == 13.0
-    assert config.tie_break == "lowest_case_id"
     assert not config.incremental_retain
 
 
@@ -91,11 +90,6 @@ def test_config_rejects_non_finite_weights(bad):
 def test_config_rejects_weights_whose_sum_overflows():
     with pytest.raises(ValueError, match="finite sum"):
         SimilarityConfig(weights=(1e308,) * 13)
-
-
-def test_config_rejects_unknown_tie_break():
-    with pytest.raises(ValueError):
-        SimilarityConfig(tie_break="highest_case_id")
 
 
 # --- global similarity --------------------------------------------------------
@@ -232,6 +226,19 @@ def test_retrieve_orders_exact_ties_by_ascending_id():
     base = CaseBase.from_cases(cases)
     ranked = retrieve(make_case(age=50), base, SimilarityConfig(), fit_minmax(base))
     assert [m.case_id for m in ranked] == [0, 2, 1]
+
+
+def test_predict_and_evaluate_resolve_exact_ties_to_lowest_id():
+    # Cases 0 and 2 are field-identical with opposite targets; the lowest id wins.
+    cases = [make_case(age=50, target=1), make_case(age=60, target=0), make_case(age=50, target=0)]
+    base = CaseBase.from_cases(cases)
+    params = fit_minmax(base)
+    for top_k in (None, 1):
+        prediction = predict(make_case(age=50), base, SimilarityConfig(), params, top_k=top_k)
+        assert (prediction.best_case_id, prediction.predicted_target) == (0, 1)
+        assert prediction.ranked[0].case_id == 0
+    report = evaluate([make_case(age=50, target=0)], base, SimilarityConfig(), params)
+    assert (report.per_case[0].best_case_id, report.per_case[0].predicted_target) == (0, 1)
 
 
 def test_reuse_takes_highest_score():
