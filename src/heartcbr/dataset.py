@@ -57,7 +57,10 @@ class CaseBase:
     Retrieval reads the base through :meth:`arrays`, a raw feature matrix
     with the ids and targets beside it. It is built on first use, so parsing
     and splitting never pay for it, and from then on :meth:`add` writes each
-    new case into spare rows instead of rebuilding it.
+    new case into spare rows instead of rebuilding it. The same first use
+    takes the column extrema (:meth:`extrema`), which :meth:`add` then
+    widens with the new row alone, and :meth:`derived_rows` keeps one
+    transform of the matrix (the engine's scaled rows) up to date the same way.
     """
 
     def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
@@ -67,6 +70,12 @@ class CaseBase:
         # are in use, the rest is spare. Replaced as a whole, so a reader never
         # sees one column without the others.
         self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # Column (minima, maxima) of the first len(self) feature rows, built
+        # with _columns.
+        self._extrema: tuple[np.ndarray, np.ndarray] | None = None
+        # (key, rows, count) of derived_rows(): the first count rows hold the
+        # transform of the first count feature rows.
+        self._derived: tuple[object, np.ndarray, int] | None = None
         for case_id, case in entries:
             self._insert(case_id, case)
 
@@ -99,6 +108,10 @@ class CaseBase:
         features[row] = to_feature_vector(case)
         ids[row] = case_id
         targets[row] = case.target
+        # np.minimum/np.maximum are the ufuncs behind the column reduction in
+        # arrays(), so ties between 0.0 and -0.0 resolve the same way.
+        lo, hi = self._extrema
+        self._extrema = np.minimum(lo, features[row]), np.maximum(hi, features[row])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only views: raw features (n x 13 float64), ids and targets (int64)."""
@@ -111,11 +124,50 @@ class CaseBase:
                 np.array(self._ids, dtype=np.int64),
                 np.array(targets, dtype=np.int64),
             )
+            features = built[0]
+            self._extrema = features.min(axis=0, initial=np.inf), features.max(axis=0, initial=-np.inf)
             columns = self._columns = tuple(_grown(column, capacity) for column in built)
         views = tuple(column[: len(self._ids)] for column in columns)
         for view in views:
             view.flags.writeable = False
         return views
+
+    def extrema(self) -> tuple[list[float], list[float]]:
+        """Column minima and maxima of the raw features (inf and -inf when empty).
+
+        Min and max are exact, so widening them one added row at a time gives
+        the same floats, signed zeros included, as reducing all of :meth:`arrays`.
+        """
+        self.arrays()
+        lo, hi = self._extrema
+        return lo.tolist(), hi.tolist()
+
+    def derived_rows(self, key, transform) -> np.ndarray:
+        """Read-only ``transform(features)`` of :meth:`arrays`, cached while ``key`` stays equal.
+
+        ``transform`` must map each feature row on its own (elementwise), so
+        transforming only the rows added since the last call gives the same
+        bits as transforming the whole matrix. Those rows are written into
+        spare rows; a key that is not equal to the cached one transforms the
+        whole matrix into a new array, so views handed out earlier never change.
+        """
+        features = self.arrays()[0]
+        n = len(features)
+        capacity = len(self._columns[0])
+        cached = self._derived
+        if cached is None or cached[0] != key:
+            rows = np.empty((capacity,) + features.shape[1:])
+            rows[:n] = transform(features)
+        else:
+            _, rows, done = cached
+            if len(rows) < capacity:
+                rows = _grown(rows[:done], capacity)
+            if done < n:
+                rows[done:n] = transform(features[done:n])
+        self._derived = (key, rows, n)
+        view = rows[:n]
+        view.flags.writeable = False
+        return view
 
     def add(self, case: Case) -> int:
         """Append a solved case under a fresh id and return that id."""

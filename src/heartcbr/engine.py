@@ -3,7 +3,8 @@
 Retrieval scores every stored case against the query with a weighted average
 of per-attribute similarities; reuse copies the solution of the single best
 match. The revise stage is a recorded no-op for binary outcomes, and retain
-appends the solved raw query to the case memory and refits the scaling.
+appends the solved raw query to the case memory and refits the scaling from
+the extrema the case base widens as it grows.
 
 One numpy kernel, :func:`_score_block`, computes every score, one attribute
 at a time over a block of queries x cases: ``|q - c|``, ``1 - d``, clamp at
@@ -14,6 +15,11 @@ exactly 1.0 and scores are symmetric, bit for bit. Degenerate (zero-range)
 attributes match on equal raw values. The best case is the first argmax, the
 lowest id on ties as ids only increase; rankings sort by (-score, id).
 :func:`evaluate` holds at most BLOCK_PAIRS scores at once.
+
+The scaled rows of the base are cached on the case base while the scaling
+parameters stay equal, so a predict after a retain scales the new row alone;
+a refit that moves an extremum rescales the base once, at the next predict.
+:attr:`Prediction.ranked` is built from the score vector when first read.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -73,14 +80,39 @@ class RankedMatch(NamedTuple):
     target: int
 
 
-@dataclass(frozen=True)
+_new_match = partial(tuple.__new__, RankedMatch)  # RankedMatch._make without its Python frame
+
+
+@dataclass(frozen=True, eq=False)
 class Prediction:
-    """Retrieval outcome: the reused solution plus the ranked evidence."""
+    """Retrieval outcome: the reused solution plus the ranked evidence.
+
+    ``ranked`` is the best-first tuple of :class:`RankedMatch` (the first
+    ``top_k`` of them when given). It is built from the score vector, ids and
+    targets the first time it is read, then kept; stored rows are never
+    mutated, so later retains do not change it. Equality compares all four
+    fields, the ranking included.
+    """
 
     predicted_target: int
     best_case_id: int
     best_global_similarity: float
-    ranked: tuple[RankedMatch, ...]
+    _evidence: tuple = field(repr=False)  # (scores, ids, targets, top_k)
+
+    @cached_property
+    def ranked(self) -> tuple[RankedMatch, ...]:
+        return tuple(_ranking(*self._evidence))
+
+    def _fields(self) -> tuple:
+        return (self.predicted_target, self.best_case_id, self.best_global_similarity, self.ranked)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def local_similarity(a: float, b: float, attr_range: float, degenerate: bool = False) -> float:
@@ -139,7 +171,7 @@ def _score_blocks(
     """Scores of the queries against every stored case, in blocks of consecutive queries."""
     if len(case_base) == 0:
         raise ValueError("cannot retrieve from an empty case base")
-    cases = _prepare(case_base.arrays()[0], params)
+    cases = case_base.derived_rows(params, partial(_prepare, params=params))
     rows = _prepare(feature_matrix(queries), params)
     step = max(1, BLOCK_PAIRS // len(cases))
     for start in range(0, len(rows), step):
@@ -150,7 +182,7 @@ def _score_blocks(
 def _ranking(scores: np.ndarray, ids, targets, top_k: int | None = None) -> list[RankedMatch]:
     order = np.lexsort((ids, -scores))[:top_k]
     columns = (np.asarray(ids)[order], scores[order], np.asarray(targets)[order])
-    return list(map(RankedMatch._make, zip(*(column.tolist() for column in columns))))
+    return list(map(_new_match, zip(*(column.tolist() for column in columns))))
 
 
 def global_similarity(
@@ -228,8 +260,7 @@ def predict(
     predicted = targets[best].item()
     logger.debug("reuse: case %d, score %.6f -> target %d", ids[best], scores[best], predicted)
     logger.debug("revise: no-op (binary solution)")
-    ranked = tuple(_ranking(scores, ids, targets, top_k))
-    return Prediction(predicted, ids[best].item(), scores[best].item(), ranked)
+    return Prediction(predicted, ids[best].item(), scores[best].item(), (scores, ids, targets, top_k))
 
 
 def retain(
@@ -239,8 +270,9 @@ def retain(
 ) -> tuple[CaseBase, NormalizationParams]:
     """Append the solved raw query to the case base and refit the scaling.
 
-    The query is stored un-normalized under a fresh id; scaling parameters
-    are refitted on the enlarged base, so extrema may widen. Requires
+    The query is stored un-normalized under a fresh id. The case base widens
+    its extrema with the new row, so the refit costs the same at any size
+    and gives what fitting the enlarged base from scratch gives. Requires
     exclusive access to the case base (single writer).
     """
     if solved_target not in (0, 1):

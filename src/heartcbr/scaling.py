@@ -67,9 +67,15 @@ def fit_minmax(train: CaseBase | Iterable[Case]) -> NormalizationParams:
     """Fit scaling parameters on the training split.
 
     The extrema are column minima and maxima of the raw feature matrix, which
-    are exact, so they equal a row-by-row scan bit for bit.
+    are exact, so they equal a row-by-row scan bit for bit. A case base keeps
+    them up to date as cases are added (:meth:`CaseBase.extrema`), so refitting
+    it after a retain reads 13 pairs instead of reducing every row.
     """
-    features = train.arrays()[0] if isinstance(train, CaseBase) else feature_matrix(list(train))
+    if isinstance(train, CaseBase):
+        if not len(train):
+            raise ValueError("cannot fit normalization on an empty training set")
+        return _from_extrema(*train.extrema())
+    features = feature_matrix(list(train))
     if not len(features):
         raise ValueError("cannot fit normalization on an empty training set")
     return _from_extrema(features.min(axis=0).tolist(), features.max(axis=0).tolist())

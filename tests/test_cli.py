@@ -353,38 +353,67 @@ def test_run_all_emits_full_output_set(tmp_path, synthetic_csv):
         assert (tmp_path / name).exists(), name
 
 
-# SHA-256 of the report files of run-all on the 1,025-row synthetic set (seed
-# 7), recorded with the pure-Python per-pair scorer that preceded the numpy
-# kernel. Any change to a score, a tie-break or the report format shows here.
+# SHA-256 of the report files of run-all on synthetic sets (seed 7) of 1,025
+# and 10,250 rows. The 1,025-row digests were recorded with the pure-Python
+# per-pair scorer that preceded the numpy kernel, the 10,250-row ones with the
+# kernel before retain widened the extrema incrementally and cached the scaled
+# rows. Any change to a score, a tie-break, the scaling or the report format
+# shows here.
 REPORT_DIGESTS = {
-    "frozen": {
-        "evaluation_report.json": "4f6da02474e2e54ace11eb5b0dd46a585fbdd4a9498114f2d926606e4e788532",
-        "per_case.csv": "6420591ec7ad1c42e3c68f61d4275d859bcd4cf0c1dec55815e706671592f37f",
+    1025: {
+        "frozen": {
+            "evaluation_report.json": "4f6da02474e2e54ace11eb5b0dd46a585fbdd4a9498114f2d926606e4e788532",
+            "per_case.csv": "6420591ec7ad1c42e3c68f61d4275d859bcd4cf0c1dec55815e706671592f37f",
+        },
+        "incremental": {
+            "evaluation_report.json": "cd5f7cb98cf54ff3937b18291f24de0a5e4405e4feae3892b20f54222087afb3",
+            "per_case.csv": "39c08262d1fec719f77b6eca662b61157b613feed3750f65b32cc696fe00675f",
+        },
     },
-    "incremental": {
-        "evaluation_report.json": "cd5f7cb98cf54ff3937b18291f24de0a5e4405e4feae3892b20f54222087afb3",
-        "per_case.csv": "39c08262d1fec719f77b6eca662b61157b613feed3750f65b32cc696fe00675f",
+    10250: {
+        "frozen": {
+            "evaluation_report.json": "86a3690692fd68b0fe3d96cfeae756a4b950d72478be77035b1802333ec1bbd9",
+            "per_case.csv": "95a74fb18c0d221bf97b194f03b66849d30078aa034f5ae106f97caabd15e0bc",
+        },
+        "incremental": {
+            "evaluation_report.json": "685b4961b53cab5bcf307f5ccf9526725159e6d1f85fa653366b30482dc04e1c",
+            "per_case.csv": "4a295783058b6cae7e80aa8955beb951593ed297d2f1d4360ff70056206865ef",
+        },
     },
 }
 
 
 @pytest.fixture(scope="module")
-def paper_sized_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "synthetic_1025.csv"
-    write_synthetic_dataset(path, 1025, seed=7)
-    return path
+def seed7_csv(tmp_path_factory):
+    """Path of the synthetic seed-7 set with the given number of rows, written once."""
+    paths = {}
+
+    def path_for(rows):
+        if rows not in paths:
+            paths[rows] = tmp_path_factory.mktemp("data") / f"synthetic_{rows}.csv"
+            write_synthetic_dataset(paths[rows], rows, seed=7)
+        return paths[rows]
+
+    return path_for
 
 
-@pytest.mark.parametrize("mode", ["frozen", "incremental"])
-def test_run_all_reports_are_byte_identical_to_recorded_digests(tmp_path, paper_sized_csv, mode):
+@pytest.mark.parametrize(
+    "rows, mode",
+    [
+        pytest.param(rows, mode, id=mode if rows == 1025 else f"{mode}-{rows}")
+        for rows in REPORT_DIGESTS
+        for mode in ("frozen", "incremental")
+    ],
+)
+def test_run_all_reports_are_byte_identical_to_recorded_digests(tmp_path, seed7_csv, rows, mode):
     flags = ["--incremental-retain"] if mode == "incremental" else []
-    rc = main(["run-all", "--input", str(paper_sized_csv), "--out-dir", str(tmp_path), *flags])
+    rc = main(["run-all", "--input", str(seed7_csv(rows)), "--out-dir", str(tmp_path), *flags])
     assert rc == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in REPORT_DIGESTS[mode]
+        for name in REPORT_DIGESTS[rows][mode]
     }
-    assert digests == REPORT_DIGESTS[mode]
+    assert digests == REPORT_DIGESTS[rows][mode]
 
 
 def test_run_all_incremental_retain_predicted_stats_cover_every_row(tmp_path, synthetic_csv):

@@ -266,3 +266,27 @@ def test_case_base_arrays_keep_given_ids():
     assert targets.tolist() == [1, 0]
     base.add(make_case())
     assert base.arrays()[1].tolist() == [3, 7, 8]
+
+
+def test_derived_rows_transform_only_new_rows_while_the_key_stays_equal():
+    seen = []
+
+    def doubled(features):
+        seen.append(len(features))
+        return 2 * features
+
+    base = CaseBase.from_cases([make_case(chol=100 + k) for k in range(3)])
+    first = base.derived_rows(("scale", 2), doubled)
+    assert first.tolist() == (2 * base.arrays()[0]).tolist()
+    # 70 adds cross the 64-row capacity; an equal key transforms the new rows alone.
+    for k in range(70):
+        base.add(make_case(chol=200 + k))
+    rows = base.derived_rows(("scale", 2), doubled)
+    assert rows.tolist() == (2 * base.arrays()[0]).tolist()
+    base.derived_rows(("scale", 2), doubled)  # no new rows: nothing to transform
+    assert seen == [3, 70]
+    # A different key transforms the whole matrix into a new array.
+    assert base.derived_rows(("scale", 3), lambda f: 3 * f).tolist() == (3 * base.arrays()[0]).tolist()
+    assert first.tolist() == (2 * base.arrays()[0][:3]).tolist()
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0

@@ -290,6 +290,39 @@ def test_predict_top_k_truncates_ranking():
     assert len(full.ranked) == 4
 
 
+def test_predict_ranking_read_after_retains_equals_one_read_before():
+    # 40 stored cases give 80 rows of capacity; 45 retains cross that doubling,
+    # and two of them widen the chol extrema at both ends.
+    base = CaseBase.from_cases(
+        [make_case(age=30 + k, chol=200 + 3 * k, target=k % 2) for k in range(40)]
+    )
+    params = fit_minmax(base)
+    config, query = SimilarityConfig(), make_case(age=45, chol=230)
+    unread = {k: predict(query, base, config, params, top_k=k) for k in (None, 1, 3)}
+    read = {k: predict(query, base, config, params, top_k=k) for k in (None, 1, 3)}
+    before = {k: p.ranked for k, p in read.items()}
+    full = tuple(retrieve(query, base, config, params))
+    for k in range(45):
+        chol = {0: 50, 1: 900}.get(k, 210 + k)
+        base, params = retain(make_case(age=45, chol=chol), k % 2, base)
+    assert len(base) == 85
+    chol_index = FEATURE_NAMES.index("chol")
+    assert (params.mins[chol_index], params.maxs[chol_index]) == (50, 900)
+
+    assert before[None] == full
+    for k, prediction in unread.items():
+        assert prediction.ranked == before[k]
+        assert len(prediction.ranked) == {None: 40, 1: 1, 3: 3}[k]
+        assert prediction == read[k]
+        for match in prediction.ranked:
+            assert type(match) is RankedMatch
+            assert (type(match.case_id), type(match.score), type(match.target)) == (int, float, int)
+    # Same reused case, score and target; only the rankings differ.
+    fields = [(p.predicted_target, p.best_case_id, p.best_global_similarity) for p in unread.values()]
+    assert len(set(fields)) == 1
+    assert unread[1] != unread[3] and unread[3] != unread[None]
+
+
 # --- oracle equivalence ---------------------------------------------------------
 
 

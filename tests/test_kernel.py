@@ -114,6 +114,7 @@ def check_kernel(base_cases, queries, weights, block_pairs):
 
 
 case_records = in_domain_raw().map(lambda raw: validate_case(raw, "strict")[0])
+WIDENABLE = ("age", "trestbps", "chol", "thalach")  # integer attributes without a code list
 weight_vectors = st.lists(
     st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.7]), min_size=13, max_size=13
 ).filter(lambda ws: sum(ws) > 0)
@@ -133,6 +134,15 @@ def kernel_inputs(draw):
     queries = draw(st.lists(case_records, min_size=1, max_size=12))
     for index in draw(st.lists(st.integers(0, len(base) - 1), max_size=3)):
         queries.append(base[index])
+    # Queries past the current extrema of an attribute, below or above, at
+    # any position: incremental evaluate retains them, so the next query is
+    # scored under new scaling and the cached scaled rows must be redone.
+    widenings = st.tuples(st.sampled_from(WIDENABLE), st.sampled_from([-1, 1]))
+    for name, step in draw(st.lists(widenings, max_size=3)):
+        values = [getattr(c, name) for c in base + queries]
+        value = (min(values) if step < 0 else max(values)) + step * draw(st.integers(1, 20))
+        query = dataclasses.replace(draw(st.sampled_from(queries)), **{name: value})
+        queries.insert(draw(st.integers(0, len(queries))), query)
     weights = draw(weight_vectors)
     # A few queries per block, so most runs cross block boundaries.
     block_pairs = draw(st.integers(1, 3 * len(base)))

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from heartcbr.cases import FEATURE_NAMES, to_feature_vector
 from heartcbr.dataset import CaseBase
@@ -135,6 +135,42 @@ def test_fit_follows_cases_added_after_the_matrix_is_built():
     base.add(make_case(chol=50))
     params = fit_minmax(base)
     assert (params.mins[CHOL], params.maxs[CHOL], params.ranges[CHOL]) == (50, 300, 250)
+
+
+# Cases whose age, chol and oldpeak spread to both sides of any starting
+# extrema, with 0.0 and -0.0 mixed in oldpeak (validation accepts -0.0).
+widening_cases = st.builds(
+    lambda age, chol, oldpeak, target: make_case(age=age, chol=chol, oldpeak=oldpeak, target=target),
+    age=st.integers(1, 100),
+    chol=st.integers(-50, 1000),
+    oldpeak=st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.5]) | st.floats(0.0, 10.0),
+    target=st.sampled_from([0, 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.lists(widening_cases, max_size=6),
+    added=st.lists(widening_cases | st.integers(0, 40), min_size=1, max_size=30),
+    first_fit=st.integers(0, 30),
+)
+def test_fit_after_adds_equals_reducing_the_columns(start, added, first_fit):
+    # The running extrema must give what reducing the whole matrix gives,
+    # signed zeros included, whenever they are first built (first_fit) and
+    # after every add from then on. An integer in added repeats that case.
+    base = CaseBase.from_cases(start)
+    for index, case in enumerate(added):
+        if isinstance(case, int):
+            cases = base.cases()
+            case = cases[case % len(cases)] if cases else make_case()
+        base.add(case)
+        if index < first_fit:
+            continue
+        params = fit_minmax(base)
+        features = base.arrays()[0]
+        assert [repr(x) for x in params.mins] == [repr(x) for x in features.min(axis=0).tolist()]
+        assert [repr(x) for x in params.maxs] == [repr(x) for x in features.max(axis=0).tolist()]
+        assert params == fit_from_vectors(features.tolist())
 
 
 def edited_sidecar(tmp_path, **chol):
