@@ -32,7 +32,6 @@ from .engine import (
     SimilarityConfig,
     evaluate,
     global_similarity,
-    local_similarity,
     predict,
     retain,
     retrieve,
@@ -63,7 +62,6 @@ __all__ = [
     "evaluate",
     "fit_minmax",
     "global_similarity",
-    "local_similarity",
     "normalize",
     "parse_csv",
     "pearson_correlation",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,7 +74,6 @@ class EvaluationReport:
     confusion: ConfusionCounts
     n_train: int
     n_test: int
-    stats: StatsTables | None = None
 
 
 def accuracy(predictions: Sequence[int], truths: Sequence[int]) -> float:
@@ -165,7 +165,10 @@ def pearson_correlation(cases: Sequence[Case]) -> list[list[float | None]]:
     )
     n_cols = data.shape[1]
     constant = [bool(data[:, j].min() == data[:, j].max()) for j in range(n_cols)]
-    centered = data - data.mean(axis=0)
+    # One contiguous row per centred column, summed by np.add.reduce: a BLAS
+    # dot product orders its sum by the thread count, so its bits vary.
+    centered = np.ascontiguousarray((data - data.mean(axis=0)).T)
+    squares = [float(np.add.reduce(column * column)) for column in centered]
 
     matrix: list[list[float | None]] = [[None] * n_cols for _ in range(n_cols)]
     for i in range(n_cols):
@@ -175,9 +178,7 @@ def pearson_correlation(cases: Sequence[Case]) -> list[list[float | None]]:
         for j in range(i + 1, n_cols):
             if constant[j]:
                 continue
-            num = float(np.dot(centered[:, i], centered[:, j]))
-            den = float(np.sqrt(np.dot(centered[:, i], centered[:, i]) * np.dot(centered[:, j], centered[:, j])))
-            r = num / den
+            r = float(np.add.reduce(centered[i] * centered[j])) / math.sqrt(squares[i] * squares[j])
             r = max(-1.0, min(1.0, r))
             matrix[i][j] = r
             matrix[j][i] = r

@@ -2,8 +2,8 @@
 
 Every subcommand is deterministic given its flags and inputs, emits
 machine-readable files (JSON reports, CSV tables) into --out-dir, and exits
-0 only on success. ``run-all`` chains split, evaluate, stats and correlate
-in one invocation.
+0 only on success. Each is built from the step helpers below, and ``run-all``
+runs the steps of split, evaluate, stats and correlate on one parse.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, baselines, reports
-from .cases import FEATURE_NAMES, N_FEATURES, validate_case
+from .cases import FEATURE_NAMES, N_FEATURES, to_feature_vector, validate_case
 from .dataset import (
     parse_csv,
     read_case_base,
@@ -24,11 +24,9 @@ from .dataset import (
     write_cases,
 )
 from .engine import SimilarityConfig, evaluate, predict, retain
-from .scaling import fit_minmax, read_params, write_params
+from .scaling import fit_minmax, normalize, read_params, write_params
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_WEIGHTS = (1.0,) * N_FEATURES
 
 
 class CliError(Exception):
@@ -56,7 +54,7 @@ def _fraction_flag(text: str):
     return value
 
 
-def _weights_flag(text: str) -> tuple[float, ...]:
+def _weights_flag(text: str) -> SimilarityConfig:
     """Parse --weights; a malformed list is a usage error, invalid values a CliError."""
     parts = text.split(",")
     if len(parts) != N_FEATURES:
@@ -67,135 +65,128 @@ def _weights_flag(text: str) -> tuple[float, ...]:
         weights = tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric weight in {text!r}") from None
-    return _stage("weights", SimilarityConfig, weights=weights).weights
+    return _stage("weights", SimilarityConfig, weights=weights)
 
 
 def _mode(args) -> str:
     return "strict" if args.strict else "lenient"
 
 
-def _config(args) -> SimilarityConfig:
-    return SimilarityConfig(
-        weights=args.weights or DEFAULT_WEIGHTS,
-        incremental_retain=getattr(args, "incremental_retain", False),
-    )
-
-
 def _out_dir(args) -> Path:
+    """Make --out-dir; each writer calls it once its results are ready."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _config_payload(args) -> dict:
-    return {
+def _parse(args):
+    return _stage("parse", parse_csv, args.input, _mode(args))
+
+
+def _split(args, cases):
+    return _stage("split", split_sequential, cases, args.train_fraction)
+
+
+def _write_split_artifacts(args, split) -> None:
+    out = _out_dir(args)
+    _stage("write", write_cases, (case for _, case in split.train), out / "train.csv")
+    _stage("write", write_cases, split.test, out / "test.csv")
+    _stage("write", write_case_base, split.train, out / "case_base.csv")
+    params = _stage("fit", fit_minmax, split.train)
+    _stage("write", write_params, params, out / "normalization.json")
+    manifest = {
+        "total": len(split.train) + len(split.test),
+        "train": len(split.train),
+        "test": len(split.test),
         "train_fraction": float(args.train_fraction),
-        "weights": list(args.weights or DEFAULT_WEIGHTS),
-        "incremental_retain": bool(getattr(args, "incremental_retain", False)),
+    }
+    _stage("write", reports.write_json, out / "split_manifest.json", manifest)
+
+
+def _evaluate(args, split):
+    params = _stage("fit", fit_minmax, split.train)
+    return _stage(
+        "evaluate", evaluate, split.test, split.train, args.config, params,
+        incremental_retain=args.incremental_retain,
+    )
+
+
+def _write_evaluation(args, report) -> None:
+    config = {
+        "train_fraction": float(args.train_fraction),
+        "weights": list(args.config.weights),
+        "incremental_retain": args.incremental_retain,
         "validation_mode": _mode(args),
     }
-
-
-def _split_pipeline(args, cases=None):
-    """Parse the input (unless already parsed) and split it."""
-    if cases is None:
-        cases = _stage("parse", parse_csv, args.input, _mode(args))
-    split = _stage("split", split_sequential, cases, args.train_fraction)
-    return cases, split
-
-
-def _write_split_artifacts(args, split, out: Path) -> None:
-    write_cases((case for _, case in split.train), out / "train.csv")
-    write_cases(split.test, out / "test.csv")
-    write_case_base(split.train, out / "case_base.csv")
-    params = _stage("fit", fit_minmax, split.train)
-    write_params(params, out / "normalization.json")
-    reports.write_json(
-        out / "split_manifest.json",
-        {
-            "total": len(split.train) + len(split.test),
-            "train": len(split.train),
-            "test": len(split.test),
-            "train_fraction": float(args.train_fraction),
-        },
-    )
-
-
-def cmd_split(args) -> int:
-    _, split = _split_pipeline(args)
     out = _out_dir(args)
-    _stage("write", _write_split_artifacts, args, split, out)
-    print(f"split: {len(split.train)} train / {len(split.test)} test -> {out}")
-    return 0
-
-
-def _run_evaluation(args, cases=None):
-    _, split = _split_pipeline(args, cases)
-    params = _stage("fit", fit_minmax, split.train)
-    config = _config(args)
-    return _stage("evaluate", evaluate, split.test, split.train, config, params)
-
-
-def cmd_evaluate(args) -> int:
-    report = _run_evaluation(args)
-    out = _out_dir(args)
-    payload = reports.evaluation_report_to_dict(report, _config_payload(args))
+    payload = reports.evaluation_report_to_dict(report, config)
     _stage("write", reports.write_json, out / "evaluation_report.json", payload)
     _stage("write", reports.write_per_case_csv, out / "per_case.csv", report)
-    print(
-        f"evaluate: test_accuracy={report.test_accuracy:.6f} "
-        f"merged_accuracy={report.merged_accuracy:.6f} "
-        f"(train={report.n_train}, test={report.n_test}) -> {out}"
-    )
-    return 0
 
 
-def _merged_labels(truths, report) -> list[int]:
-    """True labels of the training rows, then the predicted labels of the test rows.
+def _write_stats(args, cases, report):
+    """Write and return the tables under the true labels and the merged labels.
 
-    Taken from the input rows, since an incremental-retain evaluation has
-    grown the training case base by the test rows.
+    Merged: the input's labels for the training rows (an incremental-retain
+    evaluation grows the case base by the test rows), then the predictions.
     """
-    return truths[: report.n_train] + [r.predicted_target for r in report.per_case]
-
-
-def cmd_stats(args) -> int:
-    cases = _stage("parse", parse_csv, args.input, _mode(args))
     truths = [case.target for case in cases]
-    if any(t is None for t in truths):
-        raise CliError("stats: every input row needs a target")
+    merged = truths[: report.n_train] + [r.predicted_target for r in report.per_case]
     true_stats = _stage("stats", analytics.dataset_stats, cases, truths)
-
-    report = _run_evaluation(args, cases)
-    merged_labels = _merged_labels(truths, report)
-    predicted_stats = _stage("stats", analytics.dataset_stats, cases, merged_labels)
-
+    predicted_stats = _stage("stats", analytics.dataset_stats, cases, merged)
     out = _out_dir(args)
     _stage("write", reports.write_stats_tables, out, "true", true_stats)
     _stage("write", reports.write_stats_tables, out, "predicted", predicted_stats)
+    return true_stats, predicted_stats
+
+
+def _write_correlation(args, cases):
+    matrix = _stage("correlate", analytics.pearson_correlation, cases)
+    out = _out_dir(args)
+    _stage("write", reports.write_correlation_csv, out / "correlation.csv", matrix)
+    return matrix
+
+
+def cmd_split(args) -> int:
+    split = _split(args, _parse(args))
+    _write_split_artifacts(args, split)
+    print(f"split: {len(split.train)} train / {len(split.test)} test -> {Path(args.out_dir)}")
+    return 0
+
+
+def cmd_evaluate(args) -> int:
+    report = _evaluate(args, _split(args, _parse(args)))
+    _write_evaluation(args, report)
+    print(
+        f"evaluate: test_accuracy={report.test_accuracy:.6f} "
+        f"merged_accuracy={report.merged_accuracy:.6f} "
+        f"(train={report.n_train}, test={report.n_test}) -> {Path(args.out_dir)}"
+    )
+    return 0
+
+
+def cmd_stats(args) -> int:
+    cases = _parse(args)
+    if any(case.target is None for case in cases):
+        raise CliError("stats: every input row needs a target")
+    report = _evaluate(args, _split(args, cases))
+    true_stats, predicted_stats = _write_stats(args, cases, report)
     print(
         f"stats: positives true={true_stats.disease_counts['positive']} "
-        f"predicted={predicted_stats.disease_counts['positive']} -> {out}"
+        f"predicted={predicted_stats.disease_counts['positive']} -> {Path(args.out_dir)}"
     )
     return 0
 
 
 def cmd_correlate(args) -> int:
-    cases = _stage("parse", parse_csv, args.input, _mode(args))
-    matrix = _stage("correlate", analytics.pearson_correlation, cases)
-    out = _out_dir(args)
-    _stage("write", reports.write_correlation_csv, out / "correlation.csv", matrix)
-    print(f"correlate: {len(matrix)}x{len(matrix)} matrix -> {out}")
+    matrix = _write_correlation(args, _parse(args))
+    print(f"correlate: {len(matrix)}x{len(matrix)} matrix -> {Path(args.out_dir)}")
     return 0
 
 
 def cmd_train_nn(args) -> int:
-    _, split = _split_pipeline(args)
+    split = _split(args, _parse(args))
     params = _stage("fit", fit_minmax, split.train)
-
-    from .cases import to_feature_vector
-    from .scaling import normalize
-
     train_vectors = [normalize(to_feature_vector(c), params) for c in split.train.cases()]
     train_labels = [c.target for c in split.train.cases()]
     test_vectors = [normalize(to_feature_vector(c), params) for c in split.test]
@@ -259,8 +250,7 @@ def cmd_predict(args) -> int:
         _stage("write", write_params, params, sidecar)
 
     query = _build_query(args)
-    config = _config(args)
-    prediction = _stage("predict", predict, query, case_base, config, params, top_k=1)
+    prediction = _stage("predict", predict, query, case_base, args.config, params, top_k=1)
 
     retained = False
     if args.retain:
@@ -277,31 +267,16 @@ def cmd_predict(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    cases = _stage("parse", parse_csv, args.input, _mode(args))
-    split = _stage("split", split_sequential, cases, args.train_fraction)
-    out = _out_dir(args)
-    _stage("write", _write_split_artifacts, args, split, out)
-
-    params = _stage("fit", fit_minmax, split.train)
-    config = _config(args)
-    report = _stage("evaluate", evaluate, split.test, split.train, config, params)
-    payload = reports.evaluation_report_to_dict(report, _config_payload(args))
-    _stage("write", reports.write_json, out / "evaluation_report.json", payload)
-    _stage("write", reports.write_per_case_csv, out / "per_case.csv", report)
-
-    truths = [case.target for case in cases]
-    true_stats = _stage("stats", analytics.dataset_stats, cases, truths)
-    merged_labels = _merged_labels(truths, report)
-    predicted_stats = _stage("stats", analytics.dataset_stats, cases, merged_labels)
-    _stage("write", reports.write_stats_tables, out, "true", true_stats)
-    _stage("write", reports.write_stats_tables, out, "predicted", predicted_stats)
-
-    matrix = _stage("correlate", analytics.pearson_correlation, cases)
-    _stage("write", reports.write_correlation_csv, out / "correlation.csv", matrix)
-
+    cases = _parse(args)
+    split = _split(args, cases)
+    _write_split_artifacts(args, split)
+    report = _evaluate(args, split)
+    _write_evaluation(args, report)
+    _write_stats(args, cases, report)
+    _write_correlation(args, cases)
     print(
         f"run-all: test_accuracy={report.test_accuracy:.6f} "
-        f"merged_accuracy={report.merged_accuracy:.6f} -> {out}"
+        f"merged_accuracy={report.merged_accuracy:.6f} -> {Path(args.out_dir)}"
     )
     return 0
 
@@ -327,10 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     weighted = argparse.ArgumentParser(add_help=False)
     weighted.add_argument(
-        "--weights", type=_weights_flag, default=None,
+        "--weights", dest="config", metavar="WEIGHTS", type=_weights_flag, default=SimilarityConfig(),
         help=f"{N_FEATURES} comma-separated attribute weights (default: all 1)",
     )
-    weighted.add_argument(
+
+    evaluated = argparse.ArgumentParser(add_help=False, parents=[pipeline, weighted])
+    evaluated.add_argument(
         "--incremental-retain", action="store_true",
         help="retain each test case with its predicted target before the next prediction",
     )
@@ -338,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", parents=[pipeline], help="sequential train/test split")
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("evaluate", parents=[pipeline, weighted], help="split, fit and score the test set")
+    p = sub.add_parser("evaluate", parents=[evaluated], help="split, fit and score the test set")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("stats", parents=[pipeline, weighted], help="descriptive tables (true and predicted labels)")
+    p = sub.add_parser("stats", parents=[evaluated], help="descriptive tables (true and predicted labels)")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("correlate", parents=[pipeline], help="product-moment correlation matrix")
@@ -353,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.1, help="learning rate")
     p.set_defaults(func=cmd_train_nn)
 
-    p = sub.add_parser("run-all", parents=[pipeline, weighted], help="split + evaluate + stats + correlate")
+    p = sub.add_parser("run-all", parents=[evaluated], help="split + evaluate + stats + correlate")
     p.set_defaults(func=cmd_run_all)
 
     p = sub.add_parser("predict", parents=[common, weighted], help="predict one query against a case base")

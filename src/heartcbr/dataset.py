@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -215,15 +217,11 @@ def _open_source(source) -> tuple[IO[str], bool]:
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline=""), True
     if isinstance(source, bytes):
-        import io
-
         return io.StringIO(source.decode("utf-8")), False
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        import io
-
         return io.StringIO(data), False
     raise TypeError(f"unsupported source type {type(source)!r}")
 
@@ -247,13 +245,12 @@ def _resolve_header(raw_header: list[str], *, allow_case_id: bool) -> dict[str, 
     return positions
 
 
-def parse_csv(source, mode: str = "lenient") -> list[Case]:
-    """Read a heart-disease CSV into cases, preserving file order.
+def _records(source, *, allow_case_id: bool) -> Iterator:
+    """Yield the header's column positions, then ``(line number, fields by name)``.
 
-    The first row must be a header with the 13 attribute columns (aliases
-    accepted, case-insensitive); a target column is optional. Row-level
-    failures raise :class:`DatasetError` citing the 1-based file line.
-    Lenient-mode domain warnings are aggregated into one log message.
+    Blank rows are skipped; a row of another width than the header raises
+    :class:`DatasetError` citing its 1-based file line. Close the generator
+    (``contextlib.closing``) to release a file opened here.
     """
     stream, should_close = _open_source(source)
     try:
@@ -262,11 +259,9 @@ def parse_csv(source, mode: str = "lenient") -> list[Case]:
             raw_header = next(reader)
         except StopIteration:
             raise DatasetError("empty file: no header row") from None
-        positions = _resolve_header(raw_header, allow_case_id=False)
+        positions = _resolve_header(raw_header, allow_case_id=allow_case_id)
+        yield positions
         width = len(raw_header)
-
-        cases: list[Case] = []
-        warning_counts: Counter[str] = Counter()
         for line_no, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
@@ -274,7 +269,25 @@ def parse_csv(source, mode: str = "lenient") -> list[Case]:
                 raise DatasetError(
                     f"line {line_no}: expected {width} fields, found {len(row)}"
                 )
-            raw = {name: row[idx] for name, idx in positions.items()}
+            yield line_no, {name: row[idx] for name, idx in positions.items()}
+    finally:
+        if should_close:
+            stream.close()
+
+
+def parse_csv(source, mode: str = "lenient") -> list[Case]:
+    """Read a heart-disease CSV into cases, preserving file order.
+
+    The first row must be a header with the 13 attribute columns (aliases
+    accepted, case-insensitive); a target column is optional. Row-level
+    failures raise :class:`DatasetError` citing the 1-based file line.
+    Lenient-mode domain warnings are aggregated into one log message.
+    """
+    cases: list[Case] = []
+    warning_counts: Counter[str] = Counter()
+    with closing(_records(source, allow_case_id=False)) as records:
+        next(records)
+        for line_no, raw in records:
             try:
                 case, warnings = validate_case(raw, mode)
             except CaseValidationError as exc:
@@ -283,16 +296,13 @@ def parse_csv(source, mode: str = "lenient") -> list[Case]:
                 warning_counts[message.split(":", 1)[0]] += 1
             cases.append(case)
 
-        if warning_counts:
-            logger.warning(
-                "accepted %d out-of-domain values in lenient mode: %s",
-                sum(warning_counts.values()),
-                dict(warning_counts),
-            )
-        return cases
-    finally:
-        if should_close:
-            stream.close()
+    if warning_counts:
+        logger.warning(
+            "accepted %d out-of-domain values in lenient mode: %s",
+            sum(warning_counts.values()),
+            dict(warning_counts),
+        )
+    return cases
 
 
 def _as_fraction(train_fraction) -> Fraction:
@@ -327,76 +337,54 @@ def _format_value(name: str, value) -> str:
     return str(int(value))
 
 
-def write_cases(cases: Iterable[Case], sink) -> None:
-    """Write cases as a canonical-header CSV readable by :func:`parse_csv`."""
+def _case_fields(case: Case) -> list[str]:
+    """The canonical-header fields of ``case``; an absent target is left empty."""
+    row = [_format_value(name, getattr(case, name)) for name in FEATURE_NAMES]
+    row.append("" if case.target is None else str(case.target))
+    return row
+
+
+def _write_rows(sink, header: Sequence[str], rows: Iterable[list[str]]) -> None:
     own = isinstance(sink, (str, Path))
     stream = open(sink, "w", encoding="utf-8", newline="") if own else sink
     try:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CANONICAL_HEADER)
-        for case in cases:
-            row = [_format_value(name, getattr(case, name)) for name in FEATURE_NAMES]
-            row.append("" if case.target is None else str(case.target))
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
     finally:
         if own:
             stream.close()
+
+
+def write_cases(cases: Iterable[Case], sink) -> None:
+    """Write cases as a canonical-header CSV readable by :func:`parse_csv`."""
+    _write_rows(sink, CANONICAL_HEADER, map(_case_fields, cases))
 
 
 def write_case_base(case_base: CaseBase, sink) -> None:
     """Persist a case base as CSV: case_id column plus the canonical header."""
-    own = isinstance(sink, (str, Path))
-    stream = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow((CASE_ID_COLUMN,) + CANONICAL_HEADER)
-        for case_id, case in case_base:
-            row = [str(case_id)]
-            row.extend(_format_value(name, getattr(case, name)) for name in FEATURE_NAMES)
-            row.append(str(case.target))
-            writer.writerow(row)
-    finally:
-        if own:
-            stream.close()
+    rows = ([str(case_id), *_case_fields(case)] for case_id, case in case_base)
+    _write_rows(sink, (CASE_ID_COLUMN,) + CANONICAL_HEADER, rows)
 
 
 def read_case_base(source) -> CaseBase:
     """Reload a case base written by :func:`write_case_base`, losslessly."""
-    stream, should_close = _open_source(source)
-    try:
-        reader = csv.reader(stream)
-        try:
-            raw_header = next(reader)
-        except StopIteration:
-            raise DatasetError("empty file: no header row") from None
-        positions = _resolve_header(raw_header, allow_case_id=True)
+    entries: list[tuple[int, Case]] = []
+    seen_ids: set[int] = set()
+    with closing(_records(source, allow_case_id=True)) as records:
+        positions = next(records)
         if CASE_ID_COLUMN not in positions:
             raise DatasetError("missing case_id column")
         if TARGET_NAME not in positions:
             raise DatasetError("missing target column")
-        width = len(raw_header)
-
-        entries: list[tuple[int, Case]] = []
-        seen_ids: set[int] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != width:
-                raise DatasetError(
-                    f"line {line_no}: expected {width} fields, found {len(row)}"
-                )
+        for line_no, raw in records:
             try:
-                case_id = int(row[positions[CASE_ID_COLUMN]])
+                case_id = int(raw.pop(CASE_ID_COLUMN))
             except ValueError:
                 raise DatasetError(f"line {line_no}: non-integer case_id") from None
             if case_id in seen_ids:
                 raise DatasetError(f"line {line_no}: duplicate case_id {case_id}")
             seen_ids.add(case_id)
-            raw = {
-                name: row[idx]
-                for name, idx in positions.items()
-                if name != CASE_ID_COLUMN
-            }
             try:
                 case, _ = validate_case(raw, "lenient")
             except CaseValidationError as exc:
@@ -404,10 +392,7 @@ def read_case_base(source) -> CaseBase:
             if case.target is None:
                 raise DatasetError(f"line {line_no}: stored case missing target")
             entries.append((case_id, case))
-        try:
-            return CaseBase(entries)
-        except DatasetError as exc:
-            raise DatasetError(f"invalid persisted case base: {exc}") from exc
-    finally:
-        if should_close:
-            stream.close()
+    try:
+        return CaseBase(entries)
+    except DatasetError as exc:
+        raise DatasetError(f"invalid persisted case base: {exc}") from exc

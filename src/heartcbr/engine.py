@@ -4,7 +4,8 @@ Retrieval scores every stored case against the query with a weighted average
 of per-attribute similarities; reuse copies the solution of the single best
 match. The revise stage is a recorded no-op for binary outcomes, and retain
 appends the solved raw query to the case memory and refits the scaling from
-the extrema the case base widens as it grows.
+the extrema the case base widens as it grows. :func:`evaluate` runs the
+cycle over a test set, retaining each case in turn when asked to.
 
 One numpy kernel, :func:`_score_block`, computes every score, one attribute
 at a time over a block of queries x cases: ``|q - c|``, ``1 - d``, clamp at
@@ -52,14 +53,14 @@ def _sequential_sum(values: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    """Per-attribute weights and the evaluation mode.
+    """Per-attribute weights of the similarity score.
 
     Weights default to 1.0 each; only their ratios matter because the score
-    divides by their sum. Ties are always resolved toward the lowest case id.
+    divides by their sum. They must be finite and non-negative, not all zero.
+    Ties are always resolved toward the lowest case id.
     """
 
     weights: tuple[float, ...] = (1.0,) * N_FEATURES
-    incremental_retain: bool = False
 
     def __post_init__(self):
         if len(self.weights) != N_FEATURES:
@@ -113,20 +114,6 @@ class Prediction:
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-
-def local_similarity(a: float, b: float, attr_range: float, degenerate: bool = False) -> float:
-    """Per-attribute similarity in [0, 1].
-
-    Non-degenerate attributes use the range-normalized measure
-    max(0, 1 - |a - b| / range); a degenerate (zero-range) attribute matches
-    exactly or not at all.
-    """
-    if degenerate:
-        return 1.0 if a == b else 0.0
-    diff = abs(a - b) / attr_range
-    sim = 1.0 - diff
-    return sim if sim > 0.0 else 0.0
 
 
 def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.ndarray:
@@ -291,14 +278,16 @@ def evaluate(
     case_base: CaseBase,
     config: SimilarityConfig,
     params: NormalizationParams,
+    *,
+    incremental_retain: bool = False,
 ) -> EvaluationReport:
     """Predict every test case in order and summarize the outcome.
 
-    With ``config.incremental_retain`` each test case is retained with its
-    predicted target before the next prediction, growing the case base as it
-    goes (and mutating the one passed in); otherwise the base and scaling
-    stay frozen and the queries are scored in blocks. The merged accuracy
-    counts every original training case as correct by self-retrieval.
+    With ``incremental_retain`` each test case is retained with its predicted
+    target before the next prediction, growing the case base as it goes (and
+    mutating the one passed in); otherwise the base and scaling stay frozen
+    and the queries are scored in blocks. The merged accuracy counts every
+    original training case as correct by self-retrieval.
     """
     if not test_cases:
         raise ValueError("cannot evaluate an empty test set")
@@ -308,7 +297,7 @@ def evaluate(
 
     n_train = len(case_base)
     best: list[tuple[int, float, int]] = []  # (predicted target, score, case id) per query
-    if config.incremental_retain:
+    if incremental_retain:
         for case in test_cases:
             p = predict(case, case_base, config, params, top_k=1)
             best.append((p.predicted_target, p.best_global_similarity, p.best_case_id))

@@ -13,6 +13,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # that need it look here (see README for how to provide it).
 REAL_DATASET = Path(os.environ.get("HEART_CSV", REPO_ROOT / "data" / "heart.csv"))
 
+
+def subprocess_env(**overrides):
+    """Environment for a child Python process that imports heartcbr from src/."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
+
 BASE_RAW = {
     "age": 54,
     "sex": 1,

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,8 @@ from heartcbr.cli import main
 from heartcbr.dataset import parse_csv, read_case_base, split_sequential
 from heartcbr.scaling import fit_minmax, normalize
 from heartcbr.synthetic import write_synthetic_dataset
+
+from conftest import subprocess_env
 
 
 def read_json(path):
@@ -282,6 +286,19 @@ def test_correlate_constant_column_undefined(tmp_path):
     assert "undefined" in restecg_row
 
 
+def test_correlation_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a long dot product across threads, which reorders its sum.
+    data = write_synthetic_dataset(tmp_path / "data.csv", 10250, seed=7)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        command = [sys.executable, "-m", "heartcbr", "correlate", "--input", str(data), "--out-dir", str(out)]
+        subprocess.run(command, env=env, check=True, capture_output=True, timeout=300)
+        outputs.append((out / "correlation.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # --- train-nn ------------------------------------------------------------------
 
 
@@ -423,3 +440,108 @@ def test_run_all_incremental_retain_predicted_stats_cover_every_row(tmp_path, sy
     report = read_json(tmp_path / "evaluation_report.json")
     rows = (tmp_path / "predicted_disease_counts.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert sum(int(line.rsplit(",", 1)[1]) for line in rows) == report["n_train"] + report["n_test"]
+
+
+# --- failure behaviour ------------------------------------------------------------
+
+SPLIT_FILES = ["case_base.csv", "normalization.json", "split_manifest.json", "test.csv", "train.csv"]
+NO_TRAIN_TARGET = "error: split: case 5: stored cases must have a target"
+EMPTY_SIDE = "error: split: split of 1 cases at fraction 3/5 leaves an empty side"
+
+# (input, command) -> (exit code, stderr line, files in --out-dir or None when it
+# was never made). A 50-row file splits 30 / 20; "test-side" has no target on
+# row 40 (test case 10), "train-side" none on row 5. split reads no target of
+# a test row, so it alone succeeds on "test-side".
+FAILURES = {
+    ("test-side", "split"): (0, None, SPLIT_FILES),
+    ("test-side", "evaluate"): (1, "error: evaluate: test case 10 is missing a target", None),
+    ("test-side", "stats"): (1, "error: stats: every input row needs a target", None),
+    ("test-side", "correlate"): (1, "error: correlate: case 40 is missing a target", None),
+    ("test-side", "run-all"): (1, "error: evaluate: test case 10 is missing a target", SPLIT_FILES),
+    ("test-side", "train-nn"): (1, "error: train-nn: every test row needs a target", None),
+    ("train-side", "split"): (1, NO_TRAIN_TARGET, None),
+    ("train-side", "evaluate"): (1, NO_TRAIN_TARGET, None),
+    ("train-side", "stats"): (1, "error: stats: every input row needs a target", None),
+    ("train-side", "correlate"): (1, "error: correlate: case 5 is missing a target", None),
+    ("train-side", "run-all"): (1, NO_TRAIN_TARGET, None),
+    ("train-side", "train-nn"): (1, NO_TRAIN_TARGET, None),
+    ("one-row", "split"): (1, EMPTY_SIDE, None),
+    ("one-row", "evaluate"): (1, EMPTY_SIDE, None),
+    ("one-row", "stats"): (1, EMPTY_SIDE, None),
+    ("one-row", "correlate"): (1, "error: correlate: correlation requires at least two cases", None),
+    ("one-row", "run-all"): (1, EMPTY_SIDE, None),
+    ("one-row", "train-nn"): (1, EMPTY_SIDE, None),
+}
+
+
+@pytest.fixture(scope="module")
+def failing_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("failing")
+    full = write_synthetic_dataset(directory / "full.csv", 50, seed=3)
+    lines = full.read_text(encoding="utf-8").splitlines()
+
+    def without_target(row):
+        edited = list(lines)
+        edited[row + 1] = edited[row + 1].rsplit(",", 1)[0] + ","
+        return edited
+
+    paths = {}
+    for name, content in [
+        ("test-side", without_target(40)),
+        ("train-side", without_target(5)),
+        ("one-row", lines[:2]),
+    ]:
+        paths[name] = directory / f"{name}.csv"
+        paths[name].write_text("\n".join(content) + "\n", encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("source, command", list(FAILURES), ids="-".join)
+def test_failure_exit_code_message_and_leftover_files(tmp_path, capsys, failing_inputs, source, command):
+    rc_want, err_want, files_want = FAILURES[source, command]
+    out = tmp_path / "out"
+    rc = main([command, "--input", str(failing_inputs[source]), "--out-dir", str(out)])
+    assert rc == rc_want
+    err = capsys.readouterr().err
+    assert err == ("" if err_want is None else err_want + "\n")
+    files = sorted(p.name for p in out.iterdir()) if out.exists() else None
+    assert files == files_want
+
+
+# --- option scope -----------------------------------------------------------------
+
+
+def test_predict_rejects_incremental_retain(split_dir):
+    stored = parse_csv(split_dir / "train.csv")[0]
+    args = ["predict", "--case-base", str(split_dir / "case_base.csv"), *query_flags(stored)]
+    assert main([*args, "--incremental-retain"]) == 2
+
+
+def test_predict_accepts_weights(split_dir, capsys):
+    stored = parse_csv(split_dir / "train.csv")[0]
+    weights = ",".join(["2"] + ["1"] * 12)
+    args = ["predict", "--case-base", str(split_dir / "case_base.csv"), *query_flags(stored)]
+    assert main([*args, "--weights", weights]) == 0
+    assert json.loads(capsys.readouterr().out)["best_global_similarity"] == 1.0
+
+
+def test_stats_accepts_incremental_retain(tmp_path, synthetic_csv):
+    # evaluate and run-all take the flag in the tests above.
+    args = ["stats", "--input", str(synthetic_csv), "--out-dir", str(tmp_path), "--incremental-retain"]
+    assert main(args) == 0
+    rows = (tmp_path / "predicted_disease_counts.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert sum(int(line.rsplit(",", 1)[1]) for line in rows) == 120
+
+
+# evaluate is covered by test_evaluate_invalid_weight_value_is_an_error.
+@pytest.mark.parametrize("command", ["stats", "run-all", "predict"])
+def test_non_finite_weight_is_an_error_on_stats_run_all_and_predict(tmp_path, synthetic_csv, capsys, command):
+    weights = ",".join(["inf"] + ["1"] * 12)
+    if command == "predict":
+        args = ["--case-base", str(tmp_path / "case_base.csv"), "--age", "50"]
+    else:
+        args = ["--input", str(synthetic_csv)]
+    rc = main([command, *args, "--weights", weights, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: weights:")
+    assert not (tmp_path / "out").exists()

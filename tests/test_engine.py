@@ -13,7 +13,6 @@ from heartcbr.engine import (
     SimilarityConfig,
     evaluate,
     global_similarity,
-    local_similarity,
     predict,
     rank_scaled,
     retain,
@@ -35,31 +34,6 @@ def scaled_vectors(min_value=-0.25, max_value=1.25):
     ).map(tuple)
 
 
-# --- local similarity --------------------------------------------------------
-
-
-def test_local_similarity_identity():
-    assert local_similarity(0.37, 0.37, 1.0) == 1.0
-    assert local_similarity(5.0, 5.0, 123.0) == 1.0
-
-
-def test_local_similarity_maximal_distance():
-    assert local_similarity(0.0, 1.0, 1.0) == 0.0
-
-
-def test_local_similarity_midpoint():
-    assert local_similarity(0.25, 0.75, 1.0) == 0.5
-
-
-def test_local_similarity_clamps_at_zero():
-    assert local_similarity(0.0, 5.0, 2.0) == 0.0
-
-
-def test_local_similarity_degenerate_exact_match():
-    assert local_similarity(3.0, 3.0, 0.0, degenerate=True) == 1.0
-    assert local_similarity(3.0, 3.5, 0.0, degenerate=True) == 0.0
-
-
 # --- similarity config --------------------------------------------------------
 
 
@@ -67,7 +41,6 @@ def test_config_defaults():
     config = SimilarityConfig()
     assert config.weights == (1.0,) * 13
     assert config.weight_sum == 13.0
-    assert not config.incremental_retain
 
 
 @pytest.mark.parametrize(
@@ -534,9 +507,7 @@ def test_evaluate_incremental_retain_grows_base_and_changes_predictions():
     assert len(train) == 2
 
     train, test, params = fresh()
-    incremental = evaluate(
-        test, train, SimilarityConfig(incremental_retain=True), params
-    )
+    incremental = evaluate(test, train, SimilarityConfig(), params, incremental_retain=True)
     # The first query is retained with its predicted label 0 and becomes the
     # nearest neighbor of the second query.
     assert [r.predicted_target for r in incremental.per_case] == [0, 0]

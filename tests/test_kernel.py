@@ -98,8 +98,7 @@ def check_kernel(base_cases, queries, weights, block_pairs):
     # Incremental: query i sees the base grown by queries 0..i-1 with their
     # predicted targets, and scaling refitted on the grown base.
     grown = CaseBase.from_cases(base_cases)
-    config = dataclasses.replace(config, incremental_retain=True)
-    incremental = evaluate(queries, grown, config, params)
+    incremental = evaluate(queries, grown, config, params, incremental_retain=True)
     assert len(incremental.per_case) == len(queries)
     rows, labels = list(stored), list(targets)
     for query, result in zip(queries, incremental.per_case):
