@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .cases import FEATURE_NAMES, TARGET_NAME, Case, to_feature_vector
+from .cases import FEATURE_NAMES, TARGET_NAME, Case
 
 CORRELATION_COLUMNS: tuple[str, ...] = FEATURE_NAMES + (TARGET_NAME,)
 
@@ -159,10 +160,7 @@ def pearson_correlation(cases: Sequence[Case]) -> list[list[float | None]]:
         if case.target is None:
             raise ValueError(f"case {i} is missing a target")
 
-    data = np.array(
-        [to_feature_vector(case) + (float(case.target),) for case in cases],
-        dtype=np.float64,
-    )
+    data = np.array(list(map(attrgetter(*CORRELATION_COLUMNS), cases)), dtype=np.float64)
     n_cols = data.shape[1]
     constant = [bool(data[:, j].min() == data[:, j].max()) for j in range(n_cols)]
     # One contiguous row per centred column, summed by np.add.reduce: a BLAS

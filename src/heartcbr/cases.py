@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 FEATURE_NAMES: tuple[str, ...] = (
     "age",
@@ -170,6 +171,9 @@ def case_to_mapping(case: Case) -> dict[str, int | float]:
     return mapping
 
 
+_feature_values = attrgetter(*FEATURE_NAMES)
+
+
 def to_feature_vector(case: Case) -> FeatureVector:
     """Project a case onto its 13 numeric attributes, target excluded."""
-    return tuple(float(getattr(case, name)) for name in FEATURE_NAMES)
+    return tuple(map(float, _feature_values(case)))

@@ -62,7 +62,9 @@ class CaseBase:
     new case into spare rows instead of rebuilding it. The same first use
     takes the column extrema (:meth:`extrema`), which :meth:`add` then
     widens with the new row alone, and :meth:`derived_rows` keeps one
-    transform of the matrix (the engine's scaled rows) up to date the same way.
+    transform of the matrix (the engine's scaled rows) up to date the same
+    way, stored attribute-major so the engine reads each attribute of every
+    case as one contiguous row.
     """
 
     def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
@@ -75,8 +77,9 @@ class CaseBase:
         # Column (minima, maxima) of the first len(self) feature rows, built
         # with _columns.
         self._extrema: tuple[np.ndarray, np.ndarray] | None = None
-        # (key, rows, count) of derived_rows(): the first count rows hold the
-        # transform of the first count feature rows.
+        # (key, rows, count) of derived_rows(): rows is attributes x capacity,
+        # and its first count columns hold the transform of the first count
+        # feature rows.
         self._derived: tuple[object, np.ndarray, int] | None = None
         for case_id, case in entries:
             self._insert(case_id, case)
@@ -140,7 +143,8 @@ class CaseBase:
         Min and max are exact, so widening them one added row at a time gives
         the same floats, signed zeros included, as reducing all of :meth:`arrays`.
         """
-        self.arrays()
+        if self._extrema is None:
+            self.arrays()
         lo, hi = self._extrema
         return lo.tolist(), hi.tolist()
 
@@ -149,27 +153,32 @@ class CaseBase:
 
         ``transform`` must map each feature row on its own (elementwise), so
         transforming only the rows added since the last call gives the same
-        bits as transforming the whole matrix. Those rows are written into
-        spare rows; a key that is not equal to the cached one transforms the
-        whole matrix into a new array, so views handed out earlier never change.
+        bits as transforming the whole matrix. The cache is attribute-major
+        (attributes x capacity): the result is the transpose of its first n
+        columns, an n x attributes view whose ``.T`` has one contiguous row
+        per attribute. New rows are written into spare columns; a key that is
+        not equal to the cached one transforms the whole matrix into a new
+        array, so views handed out earlier never change.
         """
         features = self.arrays()[0]
         n = len(features)
         capacity = len(self._columns[0])
         cached = self._derived
         if cached is None or cached[0] != key:
-            rows = np.empty((capacity,) + features.shape[1:])
-            rows[:n] = transform(features)
+            rows = np.empty(features.shape[1:] + (capacity,))
+            rows[:, :n] = transform(features).T
         else:
             _, rows, done = cached
-            if len(rows) < capacity:
-                rows = _grown(rows[:done], capacity)
+            if rows.shape[1] < capacity:
+                grown = np.empty(rows.shape[:1] + (capacity,))
+                grown[:, :done] = rows[:, :done]
+                rows = grown
             if done < n:
-                rows[done:n] = transform(features[done:n])
+                rows[:, done:n] = transform(features[done:n]).T
         self._derived = (key, rows, n)
-        view = rows[:n]
+        view = rows[:, :n]
         view.flags.writeable = False
-        return view
+        return view.T
 
     def add(self, case: Case) -> int:
         """Append a solved case under a fresh id and return that id."""

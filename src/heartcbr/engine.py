@@ -7,20 +7,24 @@ appends the solved raw query to the case memory and refits the scaling from
 the extrema the case base widens as it grows. :func:`evaluate` runs the
 cycle over a test set, retaining each case in turn when asked to.
 
-One numpy kernel, :func:`_score_block`, computes every score, one attribute
-at a time over a block of queries x cases: ``|q - c|``, ``1 - d``, clamp at
-0, ``num += w * sim``, then one division by the sequential weight sum. That
-is the float64 operation sequence of a per-pair loop (no np.sum, dot or
+One numpy kernel, :func:`_score_block`, computes every score over a block of
+queries x cases. It broadcasts ``|q - c|``, ``1 - d`` and the clamp at 0 over
+a group of attributes at once, as many as fit BLOCK_PAIRS scores (all 13 for
+one query against a paper-sized base, one for a full block of a frozen
+evaluate), then adds ``w * sim`` into ``num`` one attribute at a time, in
+order, and divides once by the sequential weight sum. That is the float64
+operation sequence of a per-pair loop (no np.sum, np.add.reduce, dot or
 matmul, which reorder additions), so scores lie in [0, 1], self-similarity is
 exactly 1.0 and scores are symmetric, bit for bit. Degenerate (zero-range)
 attributes match on equal raw values. The best case is the first argmax, the
 lowest id on ties as ids only increase; rankings sort by (-score, id).
 :func:`evaluate` holds at most BLOCK_PAIRS scores at once.
 
-The scaled rows of the base are cached on the case base while the scaling
-parameters stay equal, so a predict after a retain scales the new row alone;
-a refit that moves an extremum rescales the base once, at the next predict.
-:attr:`Prediction.ranked` is built from the score vector when first read.
+The scaled rows of the base are cached on the case base, attribute-major,
+while the scaling parameters stay equal, so a predict after a retain scales
+the new row alone; a refit that moves an extremum rescales the base once, at
+the next predict. :attr:`Prediction.ranked` is built from the score vector
+when first read.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -65,7 +69,7 @@ class SimilarityConfig:
     def __post_init__(self):
         if len(self.weights) != N_FEATURES:
             raise ValueError(f"expected {N_FEATURES} weights, got {len(self.weights)}")
-        if any(not math.isfinite(w) or w < 0 for w in self.weights):
+        if not all(map(math.isfinite, self.weights)) or min(self.weights) < 0:
             raise ValueError("weights must be finite and non-negative")
         if not 0.0 < self.weight_sum < math.inf:
             raise ValueError("weights must not all be zero and must have a finite sum")
@@ -117,35 +121,54 @@ class Prediction:
 
 
 def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.ndarray:
-    """Scores of every query row against every case row, shape (queries, cases).
+    """Scores of every query row against every case column, shape (queries, cases).
 
-    Rows are scaled (range 1), but degenerate attributes match only on equal values.
+    ``queries`` is row-major (queries x attributes), ``cases`` attribute-major
+    (attributes x cases). Values are scaled (range 1), but degenerate
+    attributes match only on equal values. Attributes are broadcast in groups
+    that fill one buffer of at most max(BLOCK_PAIRS, queries x cases) scores,
+    then added into ``num`` one plane at a time, in attribute order.
     """
-    num = np.zeros((len(queries), len(cases)))
-    sim = np.empty_like(num)
-    for j, (w, deg) in enumerate(zip(weights, degenerate)):
-        q, c = queries[:, j, np.newaxis], cases[np.newaxis, :, j]
-        if deg:
-            np.equal(q, c, out=sim)
-        else:
-            np.subtract(q, c, out=sim)
-            np.abs(sim, out=sim)
-            np.subtract(1.0, sim, out=sim)
-            np.maximum(sim, 0.0, out=sim)
-        if w != 1.0:  # x * 1.0 == x, so skipping it keeps the bits
-            sim *= w
-        num += sim
+    n_attributes = len(weights)
+    q_all = queries.T[:, :, np.newaxis]
+    c_all = cases[:, np.newaxis, :]
+    num = np.zeros((len(queries), cases.shape[1]))
+    group = max(1, min(BLOCK_PAIRS // max(num.size, 1), n_attributes))
+    buffer = np.empty((group,) + num.shape)
+    for start in range(0, n_attributes, group):
+        stop = min(start + group, n_attributes)
+        sim = buffer[: stop - start]
+        np.subtract(q_all[start:stop], c_all[start:stop], out=sim)
+        np.abs(sim, out=sim)
+        np.subtract(1.0, sim, out=sim)
+        np.maximum(sim, 0.0, out=sim)
+        for j, plane in enumerate(sim, start):
+            if degenerate[j]:
+                np.equal(q_all[j], c_all[j], out=plane)
+            if weights[j] != 1.0:  # x * 1.0 == x, so skipping it keeps the bits
+                plane *= weights[j]
+            num += plane  # not np.add.reduce over the group: it may sum pairwise
     num /= weight_sum
     return num
+
+
+@lru_cache(maxsize=8)
+def _scaling(params: NormalizationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mins, divisors, degenerate mask) of ``params`` as arrays, built once per distinct params."""
+    degenerate = np.array(params.degenerate, dtype=bool)
+    arrays = np.array(params.mins), np.where(degenerate, 1.0, params.ranges), degenerate
+    for array in arrays:
+        array.flags.writeable = False  # shared by every caller with equal params
+    return arrays
 
 
 def _prepare(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
     """Kernel rows from raw features: ``(x - lo) / range``, raw on degenerate attributes."""
     if features.shape[1] != len(params):
         raise ValueError(f"{features.shape[1]} attributes do not match parameters ({len(params)})")
-    degenerate = np.array(params.degenerate, dtype=bool)
-    rows = (features - np.array(params.mins)) / np.where(degenerate, 1.0, params.ranges)
-    rows[:, degenerate] = features[:, degenerate]
+    mins, divisors, degenerate = _scaling(params)
+    rows = (features - mins) / divisors
+    np.copyto(rows, features, where=degenerate)
     return rows
 
 
@@ -158,9 +181,9 @@ def _score_blocks(
     """Scores of the queries against every stored case, in blocks of consecutive queries."""
     if len(case_base) == 0:
         raise ValueError("cannot retrieve from an empty case base")
-    cases = case_base.derived_rows(params, partial(_prepare, params=params))
+    cases = case_base.derived_rows(params, partial(_prepare, params=params)).T
     rows = _prepare(feature_matrix(queries), params)
-    step = max(1, BLOCK_PAIRS // len(cases))
+    step = max(1, BLOCK_PAIRS // cases.shape[1])
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         yield _score_block(block, cases, config.weights, params.degenerate, config.weight_sum)
@@ -182,7 +205,7 @@ def global_similarity(
     if len(query) != N_FEATURES or len(case) != N_FEATURES:
         raise ValueError("global similarity is defined over 13-attribute vectors")
     rows = np.array([query, case], dtype=np.float64)
-    score = _score_block(rows[:1], rows[1:], config.weights, params.degenerate, config.weight_sum)
+    score = _score_block(rows[:1], rows[1:].T, config.weights, params.degenerate, config.weight_sum)
     return score.item()
 
 
@@ -203,7 +226,7 @@ def rank_scaled(
         degenerate = (False,) * len(query)
     queries = np.array([query], dtype=np.float64)
     cases = np.array(rows, dtype=np.float64).reshape(len(rows), len(query))
-    scores = _score_block(queries, cases, weights, degenerate, _sequential_sum(weights))
+    scores = _score_block(queries, cases.T, weights, degenerate, _sequential_sum(weights))
     return _ranking(scores[0], ids, targets)
 
 

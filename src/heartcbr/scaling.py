@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,9 +32,9 @@ class NormalizationParams:
         n = len(self.mins)
         if not (len(self.maxs) == len(self.ranges) == len(self.degenerate) == n):
             raise ValueError("parameter tuples must have equal length")
+        if not all(map(math.isfinite, chain(self.mins, self.maxs, self.ranges))):
+            raise ValueError("attribute extrema and range must be finite")
         for lo, hi, rng, flag in zip(self.mins, self.maxs, self.ranges, self.degenerate):
-            if not all(math.isfinite(x) for x in (lo, hi, rng)):
-                raise ValueError("attribute extrema and range must be finite")
             if hi < lo:
                 raise ValueError(f"attribute max {hi!r} is below its min {lo!r}")
             if rng != hi - lo:
@@ -58,7 +60,7 @@ def fit_from_vectors(vectors: Iterable[Sequence[float]]) -> NormalizationParams:
 
 
 def _from_extrema(mins: Sequence[float], maxs: Sequence[float]) -> NormalizationParams:
-    ranges = tuple(hi - lo for lo, hi in zip(mins, maxs))
+    ranges = tuple(map(sub, maxs, mins))
     degenerate = tuple(rng == 0.0 for rng in ranges)
     return NormalizationParams(tuple(mins), tuple(maxs), ranges, degenerate)
 

@@ -282,11 +282,18 @@ def test_derived_rows_transform_only_new_rows_while_the_key_stays_equal():
     for k in range(70):
         base.add(make_case(chol=200 + k))
     rows = base.derived_rows(("scale", 2), doubled)
-    assert rows.tolist() == (2 * base.arrays()[0]).tolist()
+    features = base.arrays()[0]
+    assert rows.tolist() == (2 * features).tolist()
+    # Attribute-major: each attribute of every case is one contiguous row.
+    for attribute, column in enumerate(rows.T):
+        assert column.flags.c_contiguous
+        assert column.tolist() == (2 * features[:, attribute]).tolist()
     base.derived_rows(("scale", 2), doubled)  # no new rows: nothing to transform
     assert seen == [3, 70]
-    # A different key transforms the whole matrix into a new array.
-    assert base.derived_rows(("scale", 3), lambda f: 3 * f).tolist() == (3 * base.arrays()[0]).tolist()
-    assert first.tolist() == (2 * base.arrays()[0][:3]).tolist()
+    # A different key transforms the whole matrix into a new array; views
+    # handed out before it keep their values.
+    assert base.derived_rows(("scale", 3), lambda f: 3 * f).tolist() == (3 * features).tolist()
+    assert first.tolist() == (2 * features[:3]).tolist()
+    assert rows.tolist() == (2 * features).tolist()
     with pytest.raises(ValueError):
         rows[0, 0] = 0.0

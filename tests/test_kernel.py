@@ -8,6 +8,7 @@ incremental ``evaluate`` (predict + retain), ``predict`` and ``retrieve``.
 """
 
 import dataclasses
+import random
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from heartcbr import engine
 from heartcbr.cases import FEATURE_NAMES, to_feature_vector, validate_case
 from heartcbr.dataset import CaseBase
-from heartcbr.engine import SimilarityConfig, evaluate, predict, retrieve
-from heartcbr.scaling import fit_from_vectors, fit_minmax, normalize
+from heartcbr.engine import SimilarityConfig, evaluate, global_similarity, predict, retrieve
+from heartcbr.scaling import NormalizationParams, fit_from_vectors, fit_minmax, normalize
+from heartcbr.synthetic import generate_rows
 
 from conftest import in_domain_raw, make_case
 
@@ -49,12 +51,17 @@ def oracle_scores(query, stored, weights):
         scaled = normalize(vector, params)
         return tuple(x if deg else s for x, s, deg in zip(vector, scaled, params.degenerate))
 
-    weight_sum = 0.0
-    for w in weights:
-        weight_sum += w
     q = prepared(query)
     degenerate = params.degenerate
+    weight_sum = oracle_sum(weights)
     return [oracle_score(q, prepared(row), weights, degenerate, weight_sum) for row in stored]
+
+
+def oracle_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def oracle_best(scores):
@@ -181,3 +188,36 @@ def test_kernel_matches_oracle_on_constructed_edge_cases():
     assert [r.best_case_id for r in report.per_case[:2]] == [0, 0]
     assert report.per_case[0].best_similarity == 1.0
     assert report.per_case[1].best_similarity < 1.0
+
+
+UNEVEN_WEIGHTS = (0.25, 1.0, 3.7)
+
+
+def test_global_similarity_adds_attributes_in_order():
+    # One query against one case is a 1 x 1 plane per attribute, the shape in
+    # which a reduction over the attribute axis sums the 13 terms pairwise.
+    # With uneven weights that changes the last bit of about one score in six.
+    rng = random.Random(13)
+    unit = NormalizationParams((0.0,) * 13, (1.0,) * 13, (1.0,) * 13, (False,) * 13)
+    for _ in range(2000):
+        weights = tuple(rng.choice(UNEVEN_WEIGHTS) for _ in range(13))
+        query = [rng.uniform(-0.5, 1.5) for _ in range(13)]
+        case = [rng.uniform(-0.5, 1.5) for _ in range(13)]
+        expected = oracle_score(query, case, weights, unit.degenerate, oracle_sum(weights))
+        assert global_similarity(query, case, SimilarityConfig(weights), unit) == expected
+
+
+def test_kernel_matches_oracle_in_every_attribute_group_size():
+    # One query against 10 stored cases is broadcast in groups of
+    # BLOCK_PAIRS // 10 attributes: 1, 4 (4 + 4 + 4 + 1) and 13 below. A base
+    # of one case has only degenerate attributes, and predict scores a query
+    # against it as one group of 13 planes of 1 x 1.
+    rng = random.Random(7)
+    cases = [validate_case(raw)[0] for raw in generate_rows(40, seed=3, duplicate_fraction=0.0)]
+    for block_pairs in (10, 40, 130):
+        weights = [rng.choice(UNEVEN_WEIGHTS) for _ in range(13)]
+        with mock.patch.object(engine, "BLOCK_PAIRS", block_pairs):
+            check_kernel(cases[:10], cases[10:20], weights, block_pairs)
+    for query in cases[20:]:
+        weights = [rng.choice(UNEVEN_WEIGHTS) for _ in range(13)]
+        check_kernel(cases[:1], [query], weights, block_pairs=1)
