@@ -57,29 +57,45 @@ class CaseBase:
     concurrent readers.
 
     Retrieval reads the base through :meth:`arrays`, a raw feature matrix
-    with the ids and targets beside it. It is built on first use, so parsing
-    and splitting never pay for it, and from then on :meth:`add` writes each
-    new case into spare rows instead of rebuilding it. The same first use
-    takes the column extrema (:meth:`extrema`), which :meth:`add` then
-    widens with the new row alone, and :meth:`derived_rows` keeps one
-    transform of the matrix (the engine's scaled rows) up to date the same
-    way, stored attribute-major so the engine reads each attribute of every
-    case as one contiguous row.
+    with the ids and targets beside it, and :meth:`distinct`, which numbers
+    the distinct raw feature rows. The matrix is built on first use, so
+    parsing and splitting never pay for it, and from then on :meth:`add`
+    writes each new case into spare rows instead of rebuilding it. The same
+    first use takes the column extrema (:meth:`extrema`), which :meth:`add`
+    then widens with the new row alone. The distinct index is extended the
+    same way, one dict lookup per row added since it was last read, so
+    fitting the scaling never builds it. :meth:`derived_rows` keeps one
+    transform of the distinct rows (the engine's scaled rows) up to date,
+    stored attribute-major so the engine reads each attribute of every
+    distinct row as one contiguous row.
     """
 
     def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
         self._ids: list[int] = []
         self._cases: list[Case] = []
-        # (features, ids, targets), built by arrays(): the first len(self) rows
-        # are in use, the rest is spare. Replaced as a whole, so a reader never
-        # sees one column without the others.
-        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (features, ids, targets, first, columns), built by _build(): the
+        # first len(self._first_of) entries of first, the first self._indexed
+        # rows of columns and the first len(self) rows of the others are in
+        # use, the rest is spare. Replaced as a whole, so a reader never sees
+        # one array without the others.
+        self._columns: tuple[np.ndarray, ...] | None = None
+        # Read-only views of the whole of each array in _columns, replaced
+        # with it: slices of them are read-only without setting a flag.
+        self._read_only: tuple[np.ndarray, ...] = ()
+        # Bytes of a raw feature row -> its distinct column, numbered in order
+        # of first occurrence, over the first self._indexed rows. Bytes keys
+        # take about a third of the memory of float tuples, and the collector
+        # never scans them.
+        self._first_of: dict[bytes, int] = {}
+        self._indexed = 0
+        # The in-use part of _read_only, until the next add.
+        self._views: tuple[np.ndarray, ...] | None = None
         # Column (minima, maxima) of the first len(self) feature rows, built
         # with _columns.
         self._extrema: tuple[np.ndarray, np.ndarray] | None = None
         # (key, rows, count) of derived_rows(): rows is attributes x capacity,
         # and its first count columns hold the transform of the first count
-        # feature rows.
+        # distinct rows.
         self._derived: tuple[object, np.ndarray, int] | None = None
         for case_id, case in entries:
             self._insert(case_id, case)
@@ -104,38 +120,79 @@ class CaseBase:
             self._append_row(case_id, case)
         self._ids.append(case_id)
         self._cases.append(case)
+        self._views = None
 
     def _append_row(self, case_id: int, case: Case) -> None:
         row = len(self._ids)
         if row == len(self._columns[0]):
-            self._columns = tuple(_grown(column, 2 * row) for column in self._columns)
-        features, ids, targets = self._columns
+            self._set_columns(tuple(_grown(column, 2 * row) for column in self._columns))
+        features, ids, targets, _, _ = self._columns
         features[row] = to_feature_vector(case)
         ids[row] = case_id
         targets[row] = case.target
         # np.minimum/np.maximum are the ufuncs behind the column reduction in
-        # arrays(), so ties between 0.0 and -0.0 resolve the same way.
+        # _build(), so ties between 0.0 and -0.0 resolve the same way.
         lo, hi = self._extrema
         self._extrema = np.minimum(lo, features[row]), np.maximum(hi, features[row])
 
+    def _build(self) -> None:
+        """Columns and extrema of the cases stored so far; the distinct index is left empty."""
+        features = feature_matrix(self._cases)
+        self._extrema = features.min(axis=0, initial=np.inf), features.max(axis=0, initial=-np.inf)
+        capacity = max(2 * len(features), 64)
+        ids = np.array(self._ids, dtype=np.int64)
+        targets = np.array([case.target for case in self._cases], dtype=np.int64)
+        first, columns = np.empty((2, capacity), dtype=np.int64)
+        built = tuple(_grown(column, capacity) for column in (features, ids, targets))
+        self._set_columns(built + (first, columns))
+
+    def _set_columns(self, columns: tuple[np.ndarray, ...]) -> None:
+        self._columns = columns
+        self._read_only = tuple(column.view() for column in columns)
+        for view in self._read_only:
+            view.flags.writeable = False
+
+    def _index_new_rows(self) -> None:
+        """Extend the distinct index over the rows added since it was last read."""
+        features, _, _, first, columns = self._columns
+        first_of = self._first_of
+        for row in range(self._indexed, len(self._ids)):
+            n_distinct = len(first_of)
+            column = columns[row] = first_of.setdefault(features[row].tobytes(), n_distinct)
+            if column == n_distinct:
+                first[column] = row
+        self._indexed = len(self._ids)
+
+    def _in_use(self) -> tuple[np.ndarray, ...]:
+        """Read-only views (features, ids, targets, first, columns), kept until the next add."""
+        views = self._views
+        if views is None:
+            if self._columns is None:
+                self._build()
+            self._index_new_rows()
+            n = len(self._ids)
+            features, ids, targets, first, columns = self._read_only
+            views = (features[:n], ids[:n], targets[:n], first[: len(self._first_of)], columns[:n])
+            self._views = views
+        return views
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only views: raw features (n x 13 float64), ids and targets (int64)."""
-        columns = self._columns
-        if columns is None:
-            capacity = max(2 * len(self._cases), 64)
-            targets = [case.target for case in self._cases]
-            built = (
-                feature_matrix(self._cases),
-                np.array(self._ids, dtype=np.int64),
-                np.array(targets, dtype=np.int64),
-            )
-            features = built[0]
-            self._extrema = features.min(axis=0, initial=np.inf), features.max(axis=0, initial=-np.inf)
-            columns = self._columns = tuple(_grown(column, capacity) for column in built)
-        views = tuple(column[: len(self._ids)] for column in columns)
-        for view in views:
-            view.flags.writeable = False
-        return views
+        return self._in_use()[:3]
+
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views ``(first, columns)`` of the distinct raw feature rows (int64).
+
+        Distinct rows are numbered in order of first occurrence: ``first[c]``
+        is the position in :meth:`arrays` of the first row equal to distinct
+        row c, and ``columns[r]`` is the distinct row that row r equals. Rows
+        are compared on the bits of all 13 raw float64 values, never on the
+        target, so copies stored under other targets share a column whose
+        ``first`` is the lowest position among them. 0.0 and -0.0 differ in
+        their bits, so rows that differ only there get two columns (with
+        equal scores).
+        """
+        return self._in_use()[3:]
 
     def extrema(self) -> tuple[list[float], list[float]]:
         """Column minima and maxima of the raw features (inf and -inf when empty).
@@ -144,29 +201,31 @@ class CaseBase:
         the same floats, signed zeros included, as reducing all of :meth:`arrays`.
         """
         if self._extrema is None:
-            self.arrays()
+            self._build()
         lo, hi = self._extrema
         return lo.tolist(), hi.tolist()
 
     def derived_rows(self, key, transform) -> np.ndarray:
-        """Read-only ``transform(features)`` of :meth:`arrays`, cached while ``key`` stays equal.
+        """Read-only ``transform`` of the distinct feature rows, cached while ``key`` stays equal.
 
-        ``transform`` must map each feature row on its own (elementwise), so
-        transforming only the rows added since the last call gives the same
-        bits as transforming the whole matrix. The cache is attribute-major
-        (attributes x capacity): the result is the transpose of its first n
-        columns, an n x attributes view whose ``.T`` has one contiguous row
-        per attribute. New rows are written into spare columns; a key that is
-        not equal to the cached one transforms the whole matrix into a new
-        array, so views handed out earlier never change.
+        Row c of the result is the transform of distinct row c, the feature
+        row at ``first[c]`` of :meth:`distinct`. ``transform`` must map each
+        feature row on its own (elementwise), so transforming only the
+        distinct rows added since the last call gives the same bits as
+        transforming them all. The cache is attribute-major (attributes x
+        capacity): the result is the transpose of its first c columns, a
+        c x attributes view whose ``.T`` has one contiguous row per attribute.
+        New rows are written into spare columns; a key that is not equal to
+        the cached one transforms every distinct row into a new array, so
+        views handed out earlier never change.
         """
-        features = self.arrays()[0]
-        n = len(features)
+        features, _, _, first, _ = self._in_use()
+        n = len(first)
         capacity = len(self._columns[0])
         cached = self._derived
         if cached is None or cached[0] != key:
             rows = np.empty(features.shape[1:] + (capacity,))
-            rows[:, :n] = transform(features).T
+            rows[:, :n] = transform(features.take(first, axis=0)).T
         else:
             _, rows, done = cached
             if rows.shape[1] < capacity:
@@ -174,7 +233,7 @@ class CaseBase:
                 grown[:, :done] = rows[:, :done]
                 rows = grown
             if done < n:
-                rows[:, done:n] = transform(features[done:n]).T
+                rows[:, done:n] = transform(features.take(first[done:n], axis=0)).T
         self._derived = (key, rows, n)
         view = rows[:, :n]
         view.flags.writeable = False

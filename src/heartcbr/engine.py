@@ -16,15 +16,21 @@ order, and divides once by the sequential weight sum. That is the float64
 operation sequence of a per-pair loop (no np.sum, np.add.reduce, dot or
 matmul, which reorder additions), so scores lie in [0, 1], self-similarity is
 exactly 1.0 and scores are symmetric, bit for bit. Degenerate (zero-range)
-attributes match on equal raw values. The best case is the first argmax, the
-lowest id on ties as ids only increase; rankings sort by (-score, id).
-:func:`evaluate` holds at most BLOCK_PAIRS scores at once.
+attributes match on equal raw values. :func:`evaluate` holds at most
+BLOCK_PAIRS scores at once.
 
-The scaled rows of the base are cached on the case base, attribute-major,
-while the scaling parameters stay equal, so a predict after a retain scales
-the new row alone; a refit that moves an extremum rescales the base once, at
-the next predict. :attr:`Prediction.ranked` is built from the score vector
-when first read.
+The kernel scores each distinct raw feature row of the case base once
+(:meth:`CaseBase.distinct`): identical rows get identical scores under any
+weights and scaling, so copies of a row cost nothing. Distinct rows are in
+order of first occurrence, so the best case is ``first[argmax]``, the lowest
+id among the best-scoring rows as ids only increase. Rankings expand the
+scores back to every stored id through ``columns`` and sort by (-score, id).
+
+The scaled distinct rows are cached on the case base, attribute-major, while
+the scaling parameters stay equal, so a predict after a retain scales the new
+row alone (none when it repeats a stored row); a refit that moves an
+extremum rescales the base once, at the next predict.
+:attr:`Prediction.ranked` is built from the score vector when first read.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Iterator, NamedTuple, Sequence
@@ -93,20 +100,21 @@ class Prediction:
     """Retrieval outcome: the reused solution plus the ranked evidence.
 
     ``ranked`` is the best-first tuple of :class:`RankedMatch` (the first
-    ``top_k`` of them when given). It is built from the score vector, ids and
-    targets the first time it is read, then kept; stored rows are never
-    mutated, so later retains do not change it. Equality compares all four
-    fields, the ranking included.
+    ``top_k`` of them when given). It is built the first time it is read,
+    from the distinct-row scores expanded to every stored id, then kept;
+    stored rows are never mutated, so later retains do not change it.
+    Equality compares all four fields, the ranking included.
     """
 
     predicted_target: int
     best_case_id: int
     best_global_similarity: float
-    _evidence: tuple = field(repr=False)  # (scores, ids, targets, top_k)
+    _evidence: tuple = field(repr=False)  # (distinct scores, columns, ids, targets, top_k)
 
     @cached_property
     def ranked(self) -> tuple[RankedMatch, ...]:
-        return tuple(_ranking(*self._evidence))
+        scores, columns, *rest = self._evidence
+        return tuple(_ranking(scores[columns], *rest))
 
     def _fields(self) -> tuple:
         return (self.predicted_target, self.best_case_id, self.best_global_similarity, self.ranked)
@@ -153,21 +161,26 @@ def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.n
 
 
 @lru_cache(maxsize=8)
-def _scaling(params: NormalizationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mins, divisors, degenerate mask) of ``params`` as arrays, built once per distinct params."""
+def _scaling(params: NormalizationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(mins, divisors, degenerate mask, any divisor below 1) of ``params``, built once per distinct params."""
     degenerate = np.array(params.degenerate, dtype=bool)
     arrays = np.array(params.mins), np.where(degenerate, 1.0, params.ranges), degenerate
     for array in arrays:
         array.flags.writeable = False  # shared by every caller with equal params
-    return arrays
+    return arrays + (bool(arrays[1].min() < 1.0),)
 
 
 def _prepare(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
     """Kernel rows from raw features: ``(x - lo) / range``, raw on degenerate attributes."""
     if features.shape[1] != len(params):
         raise ValueError(f"{features.shape[1]} attributes do not match parameters ({len(params)})")
-    mins, divisors, degenerate = _scaling(params)
-    rows = (features - mins) / divisors
+    mins, divisors, degenerate, small_range = _scaling(params)
+    rows = features - mins
+    # Only a range below 1 can scale a finite value past the largest float;
+    # the clamp scores that inf 0. Entering errstate costs about a
+    # microsecond, a share of every predict, so it is entered only then.
+    with np.errstate(over="ignore") if small_range else nullcontext():
+        rows /= divisors
     np.copyto(rows, features, where=degenerate)
     return rows
 
@@ -178,7 +191,7 @@ def _score_blocks(
     config: SimilarityConfig,
     params: NormalizationParams,
 ) -> Iterator[np.ndarray]:
-    """Scores of the queries against every stored case, in blocks of consecutive queries."""
+    """Scores of the queries against every distinct stored row, in blocks of consecutive queries."""
     if len(case_base) == 0:
         raise ValueError("cannot retrieve from an empty case base")
     cases = case_base.derived_rows(params, partial(_prepare, params=params)).T
@@ -238,7 +251,7 @@ def retrieve(
 ) -> list[RankedMatch]:
     """Rank every stored case against the query, highest similarity first."""
     scores = next(_score_blocks([query], case_base, config, params))[0]
-    ranked = _ranking(scores, *case_base.arrays()[1:])
+    ranked = _ranking(scores[case_base.distinct()[1]], *case_base.arrays()[1:])
     logger.debug("retrieve: ranked %d cases, best id %d", len(ranked), ranked[0].case_id)
     return ranked
 
@@ -266,11 +279,13 @@ def predict(
     """
     scores = next(_score_blocks([query], case_base, config, params))[0]
     _, ids, targets = case_base.arrays()
-    best = int(scores.argmax())
+    first, columns = case_base.distinct()
+    column = scores.argmax()
+    best, score = first[column], scores[column].item()
     predicted = targets[best].item()
-    logger.debug("reuse: case %d, score %.6f -> target %d", ids[best], scores[best], predicted)
+    logger.debug("reuse: case %d, score %.6f -> target %d", ids[best], score, predicted)
     logger.debug("revise: no-op (binary solution)")
-    return Prediction(predicted, ids[best].item(), scores[best].item(), (scores, ids, targets, top_k))
+    return Prediction(predicted, ids[best].item(), score, (scores, columns, ids, targets, top_k))
 
 
 def retain(
@@ -327,10 +342,12 @@ def evaluate(
             case_base, params = retain(case, p.predicted_target, case_base)
     else:
         _, ids, targets = case_base.arrays()
+        first, _ = case_base.distinct()
         for scores in _score_blocks(test_cases, case_base, config, params):
             top = scores.argmax(axis=1)
             top_scores = scores[np.arange(len(top)), top]
-            best.extend(zip(targets[top].tolist(), top_scores.tolist(), ids[top].tolist()))
+            rows = first[top]
+            best.extend(zip(targets[rows].tolist(), top_scores.tolist(), ids[rows].tolist()))
 
     results = tuple(
         CaseResult(index, case.target, predicted, score, case_id)  # type: ignore[arg-type]

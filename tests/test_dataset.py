@@ -289,8 +289,11 @@ def test_derived_rows_transform_only_new_rows_while_the_key_stays_equal():
         assert column.flags.c_contiguous
         assert column.tolist() == (2 * features[:, attribute]).tolist()
     base.derived_rows(("scale", 2), doubled)  # no new rows: nothing to transform
+    # A copy of a stored row adds no distinct row, so nothing to transform.
+    base.add(make_case(chol=100))
+    assert base.derived_rows(("scale", 2), doubled).tolist() == rows.tolist()
     assert seen == [3, 70]
-    # A different key transforms the whole matrix into a new array; views
+    # A different key transforms every distinct row into a new array; views
     # handed out before it keep their values.
     assert base.derived_rows(("scale", 3), lambda f: 3 * f).tolist() == (3 * features).tolist()
     assert first.tolist() == (2 * features[:3]).tolist()

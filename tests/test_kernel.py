@@ -5,11 +5,18 @@ query-case pair at a time, attributes in order, sequential sums. The kernel
 must reproduce its scores bit for bit and pick the same best case (lowest id
 on ties) through every entry point: frozen ``evaluate`` (in blocks),
 incremental ``evaluate`` (predict + retain), ``predict`` and ``retrieve``.
+The kernel scores each distinct stored row once; the oracle scores every
+row, so copies of a row must expand back to every id unchanged.
 """
 
 import dataclasses
+import math
 import random
+import struct
+import warnings
 from unittest import mock
+
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +108,10 @@ def check_kernel(base_cases, queries, weights, block_pairs):
         expected = sorted(zip(range(len(scores)), scores, targets), key=lambda m: (-m[1], m[0]))
         assert [tuple(m) for m in ranked] == expected
         assert all(type(m.score) is float and type(m.case_id) is int for m in ranked)
+        assert [tuple(m) for m in predict(query, base, config, params).ranked] == expected
+        assert [tuple(m) for m in prediction.ranked] == expected[:1]
+        top_3 = predict(query, base, config, params, top_k=3).ranked
+        assert [tuple(m) for m in top_3] == expected[:3]
 
     # Incremental: query i sees the base grown by queries 0..i-1 with their
     # predicted targets, and scaling refitted on the grown base.
@@ -221,3 +232,126 @@ def test_kernel_matches_oracle_in_every_attribute_group_size():
     for query in cases[20:]:
         weights = [rng.choice(UNEVEN_WEIGHTS) for _ in range(13)]
         check_kernel(cases[:1], [query], weights, block_pairs=1)
+
+
+# Two values per attribute, so a row can be changed in one attribute alone.
+OTHER_VALUE = {
+    "age": (40, 41), "sex": (0, 1), "cp": (0, 1), "trestbps": (120, 121), "chol": (200, 201),
+    "fbs": (0, 1), "restecg": (0, 1), "thalach": (150, 151), "exang": (0, 1),
+    "oldpeak": (1.0, 1.5), "slope": (0, 1), "ca": (0, 1), "thal": (1, 2),
+}
+
+
+def with_other_value(case, name, target):
+    low, high = OTHER_VALUE[name]
+    value = high if getattr(case, name) == low else low
+    return dataclasses.replace(case, **{name: value}, target=target)
+
+
+@st.composite
+def collapse_inputs(draw):
+    """A base full of near and exact copies, queries that retain more copies."""
+    base = draw(st.lists(case_records, min_size=1, max_size=8))
+    zero_weight = draw(st.sampled_from(FEATURE_NAMES))
+    targets = st.sampled_from([0, 1])
+    for index in draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=8)):
+        case, target = base[index], draw(targets)
+        kind = draw(st.sampled_from(["copy", "signed zero", "zero weight"]))
+        if kind == "copy":  # an exact copy, possibly under another target
+            base.append(dataclasses.replace(case, target=target))
+        elif kind == "signed zero":  # oldpeak 0.0 and -0.0, otherwise equal
+            base.append(dataclasses.replace(case, oldpeak=0.0))
+            base.append(dataclasses.replace(case, oldpeak=-0.0, target=target))
+        else:  # differs only in an attribute of weight 0: ties, but is another row
+            base.append(with_other_value(case, zero_weight, target))
+    queries = draw(st.lists(case_records, max_size=4))
+    for index in draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=6)):
+        queries.append(dataclasses.replace(base[index], oldpeak=draw(st.sampled_from([0.0, -0.0]))))
+        queries.append(base[index])
+    # Incremental evaluate retains every query, so repeating one stores a copy
+    # of a retained row.
+    for index in draw(st.lists(st.integers(0, len(queries) - 1), max_size=4)):
+        queries.insert(draw(st.integers(0, len(queries))), queries[index])
+    weights = draw(weight_vectors)
+    weights[FEATURE_NAMES.index(zero_weight)] = 0.0
+    if not any(weights):
+        weights[(FEATURE_NAMES.index(zero_weight) + 1) % 13] = 1.0
+    block_pairs = draw(st.integers(1, 3 * len(base)))
+    return base, queries, weights, block_pairs
+
+
+def assert_distinct_index(cases, base):
+    """``base.distinct()`` against a pairwise comparison of the raw rows."""
+    rows = [struct.pack("13d", *to_feature_vector(c)) for c in cases]
+    first, columns = base.distinct()
+    assert len(columns) == len(cases)
+    for row, bits in enumerate(rows):
+        # The same bits in every raw value (so 0.0 is not -0.0), whatever the targets.
+        lowest = min(r for r, other in enumerate(rows) if other == bits)
+        assert first[columns[row]] == lowest
+    # Numbered in order of first occurrence, one column per distinct row.
+    assert np.all(np.diff(first) > 0)
+    assert columns[first].tolist() == list(range(len(first)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(collapse_inputs())
+def test_duplicate_collapse_matches_oracle(inputs):
+    base_cases, queries, weights, block_pairs = inputs
+    check_kernel(base_cases, queries, weights, block_pairs)
+
+    every = base_cases + queries
+    scratch = CaseBase.from_cases(every)
+    assert_distinct_index(every, scratch)
+    # The index extended one added row at a time, as retain does, equals one
+    # built at once.
+    grown = CaseBase.from_cases(base_cases)
+    for case in queries:
+        grown.distinct()
+        grown.add(case)
+    for built, extended in zip(scratch.distinct(), grown.distinct()):
+        assert built.tolist() == extended.tolist()
+
+
+def test_duplicate_collapse_keeps_the_lowest_id_and_every_row():
+    # Rows 0 and 2 are one distinct row (targets 0 and 1); row 1 differs
+    # only in the sign of oldpeak's zero and row 3 only in sex, weighted 0,
+    # so both tie with them but keep their own columns.
+    base_cases = [
+        make_case(oldpeak=0.0, target=0),
+        make_case(oldpeak=-0.0, target=1),
+        make_case(oldpeak=0.0, target=1),
+        make_case(oldpeak=0.0, sex=0, target=1),
+        make_case(age=70, oldpeak=2.0, target=1),
+    ]
+    base = CaseBase.from_cases(base_cases)
+    first, columns = base.distinct()
+    assert first.tolist() == [0, 1, 3, 4]
+    assert columns.tolist() == [0, 1, 0, 2, 3]
+    weights = [1.0] * 13
+    weights[FEATURE_NAMES.index("sex")] = 0.0
+    config = SimilarityConfig(tuple(weights))
+    params = fit_minmax(base)
+    query = make_case(oldpeak=-0.0, target=1)
+    prediction = predict(query, base, config, params)
+    assert (prediction.predicted_target, prediction.best_case_id) == (0, 0)
+    assert [m.case_id for m in prediction.ranked] == [0, 1, 2, 3, 4]
+    assert {m.score for m in prediction.ranked[:4]} == {1.0}
+    check_kernel(base_cases, [query, base_cases[3], make_case(sex=0)], weights, block_pairs=4)
+
+
+def test_subnormal_range_scores_without_a_warning():
+    # Stored oldpeak 0.0 and 5e-324 leave a subnormal range, so a query with
+    # oldpeak 6.2 scales to inf; the clamp scores that attribute 0.
+    base_cases = [make_case(oldpeak=0.0), make_case(oldpeak=5e-324, target=0)]
+    query = make_case(oldpeak=6.2)
+    base = CaseBase.from_cases(base_cases)
+    expected = oracle_scores(to_feature_vector(query), [to_feature_vector(c) for c in base_cases], [1.0] * 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prediction = predict(query, base, SimilarityConfig(), fit_minmax(base))
+        report = evaluate([query], base, SimilarityConfig(), fit_minmax(base))
+    assert math.isfinite(prediction.best_global_similarity)
+    assert (prediction.best_case_id, prediction.best_global_similarity) == oracle_best(expected)
+    assert [m.score for m in prediction.ranked] == expected
+    assert report.per_case[0].best_similarity == max(expected)

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from heartcbr.cli import main
+from heartcbr.synthetic import write_synthetic_dataset
 
 from conftest import REPO_ROOT, subprocess_env
 
@@ -28,3 +32,32 @@ def test_run_full_pipeline_prints_comparison_and_writes_reports(tmp_path, synthe
     assert rows["backpropagation 13-3-2"] == [f"{nn['test_accuracy']:.4f}", "-"]
     for name in ("split_manifest.json", "per_case.csv", "correlation.csv", "predicted_chest_pain.csv", "mlp_model.json"):
         assert (out / name).exists(), name
+
+
+def test_bench_scale_records_stages_and_the_run_all_digests(tmp_path):
+    out = tmp_path / "bench.json"
+    script = str(REPO_ROOT / "scripts" / "bench_scale.py")
+    for label, sizes in (("first", ["120"]), ("second", [])):
+        command = [
+            sys.executable, script, "--label", label, "--out", str(out), "--repeats", "2",
+            "--sizes", *sizes, "--incremental-sizes", "120",
+        ]
+        result = subprocess.run(command, env=subprocess_env(), capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+
+    bench = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(bench) == ["first", "second"]  # a second label keeps the first
+    runs = bench["first"]["runs"]
+    assert [(run["rows"], run["mode"]) for run in runs] == [(120, "frozen"), (120, "incremental")]
+    assert bench["second"]["runs"][0]["digests"] == runs[1]["digests"]
+    for run in runs:
+        stages = run["stages_s"]
+        assert sorted(stages) == ["correlate", "evaluate", "fit", "parse", "split", "stats", "write"]
+        assert 0 < sum(stages.values()) <= run["run_all_s"]
+        assert 0 < run["distinct_ratio"] <= 1
+
+    # The digests are those of run-all itself on the same seeded data.
+    data = write_synthetic_dataset(tmp_path / "synthetic_120.csv", 120, seed=7)
+    assert main(["run-all", "--input", str(data), "--out-dir", str(tmp_path / "direct")]) == 0
+    for name, digest in runs[0]["digests"].items():
+        assert hashlib.sha256((tmp_path / "direct" / name).read_bytes()).hexdigest() == digest
