@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time ``run-all`` on synthetic data at 1k, 10k and 100k rows.
 
-For each size and mode this writes the seeded synthetic dataset, runs
+For each size and mode this writes the seed-7 synthetic dataset, runs
 ``heartcbr run-all`` in-process ``--repeats`` times and keeps the fastest
 run: its wall time, the seconds spent in each pipeline stage (parse, split,
 fit, evaluate, stats, correlate, write), the share of distinct raw rows in
@@ -29,17 +29,17 @@ from pathlib import Path
 import numpy as np
 
 from heartcbr import cli
-from heartcbr.cases import to_feature_vector
+from heartcbr.dataset import parse_csv, split_sequential
 from heartcbr.synthetic import write_synthetic_dataset
 
+SEED = 7
 STAGES = ("parse", "split", "fit", "evaluate", "stats", "correlate", "write")
 DIGESTED = ("evaluation_report.json", "per_case.csv")
 
 
 def timed_run_all(csv_path: Path, out: Path, incremental: bool) -> dict:
-    """One in-process ``run-all``: wall time, seconds per stage, distinct ratio, digests."""
+    """One in-process ``run-all``: wall time, seconds per stage, digests."""
     stages = dict.fromkeys(STAGES, 0.0)
-    train = []  # the initial case base; an incremental evaluate grows the split's own
     # run-all calls every step through cli._stage with the step's stage name,
     # so timing that one function splits the run by stage.
     stage = cli._stage
@@ -50,8 +50,6 @@ def timed_run_all(csv_path: Path, out: Path, incremental: bool) -> dict:
             result = stage(name, fn, *args, **kwargs)
         finally:
             stages[name] += time.perf_counter() - start
-        if name == "split":
-            train.extend(case for _, case in result.train)
         return result
 
     argv = ["run-all", "--input", str(csv_path), "--out-dir", str(out)]
@@ -70,18 +68,21 @@ def timed_run_all(csv_path: Path, out: Path, incremental: bool) -> dict:
     return {
         "run_all_s": round(wall, 4),
         "stages_s": {name: round(seconds, 4) for name, seconds in stages.items()},
-        "distinct_ratio": round(len(set(map(to_feature_vector, train))) / len(train), 4),
         "digests": {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DIGESTED},
     }
 
 
-def measure(rows: int, incremental: bool, seed: int, repeats: int, scratch: Path) -> dict:
-    csv_path = write_synthetic_dataset(scratch / f"synthetic_{rows}.csv", rows, seed=seed)
+def measure(rows: int, incremental: bool, repeats: int, scratch: Path) -> dict:
+    csv_path = write_synthetic_dataset(scratch / f"synthetic_{rows}.csv", rows, seed=SEED)
     runs = [timed_run_all(csv_path, scratch / "out", incremental) for _ in range(repeats)]
     if any(run["digests"] != runs[0]["digests"] for run in runs):
         raise SystemExit(f"{rows} rows: report digests differ between repeats")
     fastest = min(runs, key=lambda run: run["run_all_s"])
-    return {"rows": rows, "mode": "incremental" if incremental else "frozen", **fastest}
+    # The initial case base of run-all (default train fraction), numbered as the kernel does.
+    train = split_sequential(parse_csv(csv_path)).train
+    distinct_ratio = round(len(train.distinct()[0]) / len(train), 4)
+    mode = "incremental" if incremental else "frozen"
+    return {"rows": rows, "mode": mode, "distinct_ratio": distinct_ratio, **fastest}
 
 
 def main() -> int:
@@ -90,7 +91,6 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_scale.json")
     parser.add_argument("--sizes", type=int, nargs="*", default=[1025, 10250, 102500])
     parser.add_argument("--incremental-sizes", type=int, nargs="*", default=[1025, 10250])
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=3, help="runs per configuration; the fastest is kept")
     args = parser.parse_args()
 
@@ -99,7 +99,7 @@ def main() -> int:
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
         for rows, incremental in configurations:
-            run = measure(rows, incremental, args.seed, args.repeats, Path(scratch))
+            run = measure(rows, incremental, args.repeats, Path(scratch))
             print(f"{run['rows']:>7} {run['mode']:<11} run-all {run['run_all_s']:.3f} s", file=sys.stderr)
             runs.append(run)
 
@@ -112,7 +112,7 @@ def main() -> int:
             "platform": platform.platform(),
             "cpus": os.cpu_count(),
         },
-        "seed": args.seed,
+        "seed": SEED,
         "repeats": args.repeats,
         "runs": runs,
     }

@@ -6,6 +6,7 @@ import csv
 import io
 import logging
 import math
+import threading
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
@@ -54,7 +55,10 @@ class CaseBase:
     This is the CBR memory: ids are assigned in insertion order and never
     reused, every stored case carries a target, and existing entries are
     never mutated (retain only appends). Single writer, any number of
-    concurrent readers.
+    concurrent readers: a read must not overlap :meth:`add`, but reads may
+    overlap each other. The lazy work of a read (building the arrays,
+    extending the distinct index) runs under a lock, which only the first
+    read after each add takes.
 
     Retrieval reads the base through :meth:`arrays`, a raw feature matrix
     with the ids and targets beside it, and :meth:`distinct`, which numbers
@@ -97,6 +101,8 @@ class CaseBase:
         # and its first count columns hold the transform of the first count
         # distinct rows.
         self._derived: tuple[object, np.ndarray, int] | None = None
+        # Held while _columns is built and while the distinct index is extended.
+        self._lock = threading.Lock()
         for case_id, case in entries:
             self._insert(case_id, case)
 
@@ -120,7 +126,6 @@ class CaseBase:
             self._append_row(case_id, case)
         self._ids.append(case_id)
         self._cases.append(case)
-        self._views = None
 
     def _append_row(self, case_id: int, case: Case) -> None:
         row = len(self._ids)
@@ -167,13 +172,16 @@ class CaseBase:
         """Read-only views (features, ids, targets, first, columns), kept until the next add."""
         views = self._views
         if views is None:
-            if self._columns is None:
-                self._build()
-            self._index_new_rows()
-            n = len(self._ids)
-            features, ids, targets, first, columns = self._read_only
-            views = (features[:n], ids[:n], targets[:n], first[: len(self._first_of)], columns[:n])
-            self._views = views
+            with self._lock:
+                views = self._views
+                if views is None:
+                    if self._columns is None:
+                        self._build()
+                    self._index_new_rows()
+                    n = len(self._ids)
+                    features, ids, targets, first, columns = self._read_only
+                    views = (features[:n], ids[:n], targets[:n], first[: len(self._first_of)], columns[:n])
+                    self._views = views
         return views
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,7 +209,9 @@ class CaseBase:
         the same floats, signed zeros included, as reducing all of :meth:`arrays`.
         """
         if self._extrema is None:
-            self._build()
+            with self._lock:
+                if self._extrema is None:
+                    self._build()
         lo, hi = self._extrema
         return lo.tolist(), hi.tolist()
 
@@ -243,6 +253,7 @@ class CaseBase:
         """Append a solved case under a fresh id and return that id."""
         case_id = self._ids[-1] + 1 if self._ids else 0
         self._insert(case_id, case)
+        self._views = None
         return case_id
 
     def cases(self) -> list[Case]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Iterator, NamedTuple, Sequence
@@ -176,10 +175,13 @@ def _prepare(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
         raise ValueError(f"{features.shape[1]} attributes do not match parameters ({len(params)})")
     mins, divisors, degenerate, small_range = _scaling(params)
     rows = features - mins
-    # Only a range below 1 can scale a finite value past the largest float;
-    # the clamp scores that inf 0. Entering errstate costs about a
-    # microsecond, a share of every predict, so it is entered only then.
-    with np.errstate(over="ignore") if small_range else nullcontext():
+    # A range below 1 can scale a finite value past the largest float; the
+    # clamp scores that inf 0. Entering errstate costs more than the division
+    # itself, so it is entered only then.
+    if small_range:
+        with np.errstate(over="ignore"):
+            rows /= divisors
+    else:
         rows /= divisors
     np.copyto(rows, features, where=degenerate)
     return rows

@@ -1,5 +1,7 @@
 import io
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -300,3 +302,38 @@ def test_derived_rows_transform_only_new_rows_while_the_key_stays_equal():
     assert rows.tolist() == (2 * features).tolist()
     with pytest.raises(ValueError):
         rows[0, 0] = 0.0
+
+
+def test_a_read_that_overlaps_another_sees_the_whole_distinct_index():
+    # Reads may overlap each other, and the first read after an add extends
+    # the distinct index. Park the first reader right after it has numbered
+    # distinct row 100 (through the index's dict) and read again meanwhile:
+    # both reads must give the index that one reader builds alone.
+    cases = [make_case(chol=100 + k) for k in range(200)]
+    want = [column.tolist() for column in CaseBase.from_cases(cases).distinct()]
+    base = CaseBase.from_cases(cases[:10])
+    base.distinct()  # built; the rest arrives through add
+    for case in cases[10:]:
+        base.add(case)
+    parked = threading.Event()
+
+    class ParkingDict(dict):
+        def setdefault(self, key, default=None):
+            value = super().setdefault(key, default)
+            if value == 100 and not parked.is_set():
+                parked.set()
+                time.sleep(0.2)
+            return value
+
+    base._first_of = ParkingDict(base._first_of)
+    seen = {}
+
+    def read(name):
+        seen[name] = [column.tolist() for column in base.distinct()]
+
+    slow = threading.Thread(target=read, args=("slow",))
+    slow.start()
+    assert parked.wait(timeout=10)
+    read("fast")
+    slow.join()
+    assert seen == {"slow": want, "fast": want}
