@@ -8,14 +8,13 @@ configurable so the same machinery runs on toy problems.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .dataset import _read_json, _write_json, _write_rows
 
 DEFAULT_SIZES = (13, 3, 2)
 
@@ -106,8 +105,8 @@ class MlpModel:
             raise ValueError(f"output weights must be {(n_out, n_hidden + 1)}")
         if not (np.isfinite(self.w_hidden).all() and np.isfinite(self.w_out).all()):
             raise ValueError("weights must be finite")
-        if self.eta < 0:
-            raise ValueError("learning rate must be non-negative")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.eta!r}")
 
 
 def init_mlp(sizes: tuple[int, int, int] = DEFAULT_SIZES, eta: float = 0.1, seed: int = 0) -> MlpModel:
@@ -315,11 +314,11 @@ def write_model(model: MlpModel, path) -> None:
         "w_hidden": model.w_hidden.tolist(),
         "w_out": model.w_out.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(path, payload)
 
 
 def read_model(path) -> MlpModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = _read_json(path)
     return MlpModel(
         sizes=tuple(payload["sizes"]),
         w_hidden=np.array(payload["w_hidden"], dtype=np.float64),
@@ -330,8 +329,5 @@ def read_model(path) -> MlpModel:
 
 
 def write_training_log(mse_log: Sequence[float], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["epoch", "mse"])
-        for epoch, mse in enumerate(mse_log, start=1):
-            writer.writerow([epoch, repr(float(mse))])
+    rows = ([epoch, repr(float(mse))] for epoch, mse in enumerate(mse_log, start=1))
+    _write_rows(path, ["epoch", "mse"], rows)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
 import math
-import threading
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
@@ -49,6 +49,75 @@ def feature_matrix(cases: Sequence[Case]) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
 
 
+class _Store:
+    """The arrays retrieval reads, over every row of a case base.
+
+    Built once from the cases stored so far; from then on :meth:`append`
+    writes each added case into a spare row, widens the extrema and numbers
+    the row in the distinct index. ``views`` and the extrema are replaced
+    after each change, never written into, so a reader that took them keeps
+    arrays that agree with each other.
+    """
+
+    def __init__(self, cases: Sequence[Case], ids: Sequence[int]):
+        features = feature_matrix(cases)
+        # Column (minima, maxima) of the rows in use.
+        self.lo = features.min(axis=0, initial=np.inf)
+        self.hi = features.max(axis=0, initial=-np.inf)
+        capacity = max(2 * len(features), 64)
+        ids = np.array(ids, dtype=np.int64)
+        targets = np.array([case.target for case in cases], dtype=np.int64)
+        built = tuple(_grown(column, capacity) for column in (features, ids, targets))
+        self._set_arrays(built + tuple(np.empty((2, capacity), dtype=np.int64)))
+        # Bytes of a raw feature row -> its distinct row, numbered in order of
+        # first occurrence. Bytes keys take about a third of the memory of
+        # float tuples, and the collector never scans them.
+        self.first_of: dict[bytes, int] = {}
+        for row in range(len(features)):
+            self._index(row)
+        self.n = len(features)
+        self._publish()
+
+    def _set_arrays(self, arrays: tuple[np.ndarray, ...]) -> None:
+        # (features, ids, targets, first, columns): the first n rows of
+        # features, ids, targets and columns and the first len(first_of)
+        # entries of first are in use, the rest is spare. _read_only holds a
+        # read-only view of each, so slices of them are read-only too.
+        self.arrays = arrays
+        self._read_only = tuple(array.view() for array in arrays)
+        for view in self._read_only:
+            view.flags.writeable = False
+
+    def _index(self, row: int) -> None:
+        """Number feature row ``row`` in the distinct index."""
+        features, _, _, first, columns = self.arrays
+        n_distinct = len(self.first_of)
+        column = columns[row] = self.first_of.setdefault(features[row].tobytes(), n_distinct)
+        if column == n_distinct:
+            first[column] = row
+
+    def _publish(self) -> None:
+        n = self.n
+        features, ids, targets, first, columns = self._read_only
+        self.views = (features[:n], ids[:n], targets[:n], first[: len(self.first_of)], columns[:n])
+
+    def append(self, case_id: int, case: Case) -> None:
+        row = self.n
+        if row == len(self.arrays[0]):
+            self._set_arrays(tuple(_grown(array, 2 * row) for array in self.arrays))
+        features, ids, targets, _, _ = self.arrays
+        features[row] = to_feature_vector(case)
+        ids[row] = case_id
+        targets[row] = case.target
+        # np.minimum/np.maximum are the ufuncs behind the column reductions in
+        # __init__, so ties between 0.0 and -0.0 resolve the same way.
+        self.lo = np.minimum(self.lo, features[row])
+        self.hi = np.maximum(self.hi, features[row])
+        self._index(row)
+        self.n = row + 1
+        self._publish()
+
+
 class CaseBase:
     """Ordered store of solved cases with stable, strictly increasing ids.
 
@@ -56,53 +125,31 @@ class CaseBase:
     reused, every stored case carries a target, and existing entries are
     never mutated (retain only appends). Single writer, any number of
     concurrent readers: a read must not overlap :meth:`add`, but reads may
-    overlap each other. The lazy work of a read (building the arrays,
-    extending the distinct index) runs under a lock, which only the first
-    read after each add takes.
+    overlap each other, and no read changes what another reads.
 
     Retrieval reads the base through :meth:`arrays`, a raw feature matrix
-    with the ids and targets beside it, and :meth:`distinct`, which numbers
-    the distinct raw feature rows. The matrix is built on first use, so
-    parsing and splitting never pay for it, and from then on :meth:`add`
-    writes each new case into spare rows instead of rebuilding it. The same
-    first use takes the column extrema (:meth:`extrema`), which :meth:`add`
-    then widens with the new row alone. The distinct index is extended the
-    same way, one dict lookup per row added since it was last read, so
-    fitting the scaling never builds it. :meth:`derived_rows` keeps one
-    transform of the distinct rows (the engine's scaled rows) up to date,
-    stored attribute-major so the engine reads each attribute of every
-    distinct row as one contiguous row.
+    with the ids and targets beside it, :meth:`distinct`, which numbers the
+    distinct raw feature rows, and :meth:`extrema`, the column minima and
+    maxima. All three come from one store that the first read builds over
+    the cases stored so far and publishes with a single assignment, so
+    parsing and splitting never pay for it. From then on :meth:`add` keeps
+    the store current: it writes the new case into a spare row, widens the
+    extrema with it, looks it up in the distinct index (one dict lookup) and
+    replaces the read-only views. :meth:`derived_rows` keeps one transform of
+    the distinct rows (the engine's scaled rows) up to date, stored
+    attribute-major so the engine reads each attribute of every distinct row
+    as one contiguous row.
     """
 
     def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
         self._ids: list[int] = []
         self._cases: list[Case] = []
-        # (features, ids, targets, first, columns), built by _build(): the
-        # first len(self._first_of) entries of first, the first self._indexed
-        # rows of columns and the first len(self) rows of the others are in
-        # use, the rest is spare. Replaced as a whole, so a reader never sees
-        # one array without the others.
-        self._columns: tuple[np.ndarray, ...] | None = None
-        # Read-only views of the whole of each array in _columns, replaced
-        # with it: slices of them are read-only without setting a flag.
-        self._read_only: tuple[np.ndarray, ...] = ()
-        # Bytes of a raw feature row -> its distinct column, numbered in order
-        # of first occurrence, over the first self._indexed rows. Bytes keys
-        # take about a third of the memory of float tuples, and the collector
-        # never scans them.
-        self._first_of: dict[bytes, int] = {}
-        self._indexed = 0
-        # The in-use part of _read_only, until the next add.
-        self._views: tuple[np.ndarray, ...] | None = None
-        # Column (minima, maxima) of the first len(self) feature rows, built
-        # with _columns.
-        self._extrema: tuple[np.ndarray, np.ndarray] | None = None
+        # Built by the first read (_built), then kept current by add.
+        self._store: _Store | None = None
         # (key, rows, count) of derived_rows(): rows is attributes x capacity,
         # and its first count columns hold the transform of the first count
         # distinct rows.
         self._derived: tuple[object, np.ndarray, int] | None = None
-        # Held while _columns is built and while the distinct index is extended.
-        self._lock = threading.Lock()
         for case_id, case in entries:
             self._insert(case_id, case)
 
@@ -122,71 +169,21 @@ class CaseBase:
             )
         if case_id < 0:
             raise DatasetError(f"case_id {case_id} must be non-negative")
-        if self._columns is not None:
-            self._append_row(case_id, case)
+        if self._store is not None:
+            self._store.append(case_id, case)
         self._ids.append(case_id)
         self._cases.append(case)
 
-    def _append_row(self, case_id: int, case: Case) -> None:
-        row = len(self._ids)
-        if row == len(self._columns[0]):
-            self._set_columns(tuple(_grown(column, 2 * row) for column in self._columns))
-        features, ids, targets, _, _ = self._columns
-        features[row] = to_feature_vector(case)
-        ids[row] = case_id
-        targets[row] = case.target
-        # np.minimum/np.maximum are the ufuncs behind the column reduction in
-        # _build(), so ties between 0.0 and -0.0 resolve the same way.
-        lo, hi = self._extrema
-        self._extrema = np.minimum(lo, features[row]), np.maximum(hi, features[row])
-
-    def _build(self) -> None:
-        """Columns and extrema of the cases stored so far; the distinct index is left empty."""
-        features = feature_matrix(self._cases)
-        self._extrema = features.min(axis=0, initial=np.inf), features.max(axis=0, initial=-np.inf)
-        capacity = max(2 * len(features), 64)
-        ids = np.array(self._ids, dtype=np.int64)
-        targets = np.array([case.target for case in self._cases], dtype=np.int64)
-        first, columns = np.empty((2, capacity), dtype=np.int64)
-        built = tuple(_grown(column, capacity) for column in (features, ids, targets))
-        self._set_columns(built + (first, columns))
-
-    def _set_columns(self, columns: tuple[np.ndarray, ...]) -> None:
-        self._columns = columns
-        self._read_only = tuple(column.view() for column in columns)
-        for view in self._read_only:
-            view.flags.writeable = False
-
-    def _index_new_rows(self) -> None:
-        """Extend the distinct index over the rows added since it was last read."""
-        features, _, _, first, columns = self._columns
-        first_of = self._first_of
-        for row in range(self._indexed, len(self._ids)):
-            n_distinct = len(first_of)
-            column = columns[row] = first_of.setdefault(features[row].tobytes(), n_distinct)
-            if column == n_distinct:
-                first[column] = row
-        self._indexed = len(self._ids)
-
-    def _in_use(self) -> tuple[np.ndarray, ...]:
-        """Read-only views (features, ids, targets, first, columns), kept until the next add."""
-        views = self._views
-        if views is None:
-            with self._lock:
-                views = self._views
-                if views is None:
-                    if self._columns is None:
-                        self._build()
-                    self._index_new_rows()
-                    n = len(self._ids)
-                    features, ids, targets, first, columns = self._read_only
-                    views = (features[:n], ids[:n], targets[:n], first[: len(self._first_of)], columns[:n])
-                    self._views = views
-        return views
+    def _built(self) -> _Store:
+        """The retrieval store; the first call builds it over the cases stored so far."""
+        store = self._store
+        if store is None:
+            store = self._store = _Store(self._cases, self._ids)
+        return store
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only views: raw features (n x 13 float64), ids and targets (int64)."""
-        return self._in_use()[:3]
+        return self._built().views[:3]
 
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views ``(first, columns)`` of the distinct raw feature rows (int64).
@@ -200,7 +197,7 @@ class CaseBase:
         their bits, so rows that differ only there get two columns (with
         equal scores).
         """
-        return self._in_use()[3:]
+        return self._built().views[3:]
 
     def extrema(self) -> tuple[list[float], list[float]]:
         """Column minima and maxima of the raw features (inf and -inf when empty).
@@ -208,12 +205,8 @@ class CaseBase:
         Min and max are exact, so widening them one added row at a time gives
         the same floats, signed zeros included, as reducing all of :meth:`arrays`.
         """
-        if self._extrema is None:
-            with self._lock:
-                if self._extrema is None:
-                    self._build()
-        lo, hi = self._extrema
-        return lo.tolist(), hi.tolist()
+        store = self._built()
+        return store.lo.tolist(), store.hi.tolist()
 
     def derived_rows(self, key, transform) -> np.ndarray:
         """Read-only ``transform`` of the distinct feature rows, cached while ``key`` stays equal.
@@ -229,9 +222,10 @@ class CaseBase:
         the cached one transforms every distinct row into a new array, so
         views handed out earlier never change.
         """
-        features, _, _, first, _ = self._in_use()
+        store = self._built()
+        features, _, _, first, _ = store.views
         n = len(first)
-        capacity = len(self._columns[0])
+        capacity = len(store.arrays[0])
         cached = self._derived
         if cached is None or cached[0] != key:
             rows = np.empty(features.shape[1:] + (capacity,))
@@ -253,7 +247,6 @@ class CaseBase:
         """Append a solved case under a fresh id and return that id."""
         case_id = self._ids[-1] + 1 if self._ids else 0
         self._insert(case_id, case)
-        self._views = None
         return case_id
 
     def cases(self) -> list[Case]:
@@ -423,8 +416,9 @@ def _case_fields(case: Case) -> list[str]:
     return row
 
 
-def _write_rows(sink, header: Sequence[str], rows: Iterable[list[str]]) -> None:
-    own = isinstance(sink, (str, Path))
+def _write_rows(sink, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as CSV with LF line ends, to a path or an open text stream."""
+    own = not hasattr(sink, "write")
     stream = open(sink, "w", encoding="utf-8", newline="") if own else sink
     try:
         writer = csv.writer(stream, lineterminator="\n")
@@ -433,6 +427,15 @@ def _write_rows(sink, header: Sequence[str], rows: Iterable[list[str]]) -> None:
     finally:
         if own:
             stream.close()
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def write_cases(cases: Iterable[Case], sink) -> None:

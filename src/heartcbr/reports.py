@@ -6,19 +6,16 @@ deterministic: identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import json
 from pathlib import Path
 from typing import Sequence
 
 from .analytics import CORRELATION_COLUMNS, EvaluationReport, StatsTables
+from .dataset import _write_json, _write_rows
 from .engine import Prediction
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(path, payload)
 
 
 def evaluation_report_to_dict(report: EvaluationReport, config: dict) -> dict:
@@ -48,15 +45,14 @@ def evaluation_report_to_dict(report: EvaluationReport, config: dict) -> dict:
 
 
 def write_per_case_csv(path, report: EvaluationReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(
-            ["index", "true_target", "predicted_target", "best_similarity", "best_case_id"]
-        )
-        for r in report.per_case:
-            writer.writerow(
-                [r.index, r.true_target, r.predicted_target, repr(r.best_similarity), r.best_case_id]
-            )
+    _write_rows(
+        path,
+        ["index", "true_target", "predicted_target", "best_similarity", "best_case_id"],
+        (
+            [r.index, r.true_target, r.predicted_target, repr(r.best_similarity), r.best_case_id]
+            for r in report.per_case
+        ),
+    )
 
 
 def prediction_to_dict(
@@ -78,10 +74,7 @@ def write_stats_tables(out_dir, prefix: str, stats: StatsTables) -> list[Path]:
 
     def table(name: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
         path = out_dir / f"{prefix}_{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_rows(path, header, rows)
         written.append(path)
 
     table(
@@ -128,10 +121,11 @@ def write_stats_tables(out_dir, prefix: str, stats: StatsTables) -> list[Path]:
 
 def write_correlation_csv(path, matrix: Sequence[Sequence[float | None]]) -> None:
     """14x14 correlation matrix with named rows/columns; None -> "undefined"."""
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["attribute", *CORRELATION_COLUMNS])
-        for name, row in zip(CORRELATION_COLUMNS, matrix):
-            writer.writerow(
-                [name, *("undefined" if v is None else repr(v) for v in row)]
-            )
+    _write_rows(
+        path,
+        ["attribute", *CORRELATION_COLUMNS],
+        (
+            [name, *("undefined" if v is None else repr(v) for v in row)]
+            for name, row in zip(CORRELATION_COLUMNS, matrix)
+        ),
+    )

@@ -9,16 +9,14 @@ flagged degenerate and scales to 0; retrieval compares its raw values instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import sub
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cases import FEATURE_NAMES, Case
-from .dataset import CaseBase, feature_matrix
+from .cases import FEATURE_NAMES
+from .dataset import CaseBase, _read_json, _write_json
 
 
 @dataclass(frozen=True)
@@ -65,22 +63,17 @@ def _from_extrema(mins: Sequence[float], maxs: Sequence[float]) -> Normalization
     return NormalizationParams(tuple(mins), tuple(maxs), ranges, degenerate)
 
 
-def fit_minmax(train: CaseBase | Iterable[Case]) -> NormalizationParams:
+def fit_minmax(train: CaseBase) -> NormalizationParams:
     """Fit scaling parameters on the training split.
 
     The extrema are column minima and maxima of the raw feature matrix, which
-    are exact, so they equal a row-by-row scan bit for bit. A case base keeps
-    them up to date as cases are added (:meth:`CaseBase.extrema`), so refitting
-    it after a retain reads 13 pairs instead of reducing every row.
+    are exact, so they equal a row-by-row scan bit for bit. The case base
+    keeps them up to date as cases are added (:meth:`CaseBase.extrema`), so
+    refitting it after a retain reads 13 pairs instead of reducing every row.
     """
-    if isinstance(train, CaseBase):
-        if not len(train):
-            raise ValueError("cannot fit normalization on an empty training set")
-        return _from_extrema(*train.extrema())
-    features = feature_matrix(list(train))
-    if not len(features):
+    if not len(train):
         raise ValueError("cannot fit normalization on an empty training set")
-    return _from_extrema(features.min(axis=0).tolist(), features.max(axis=0).tolist())
+    return _from_extrema(*train.extrema())
 
 
 def normalize(vector: Sequence[float], params: NormalizationParams) -> tuple[float, ...]:
@@ -112,7 +105,7 @@ def write_params(params: NormalizationParams, path) -> None:
         }
         for i, name in enumerate(FEATURE_NAMES)
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(path, payload)
 
 
 def read_params(path) -> NormalizationParams:
@@ -121,7 +114,7 @@ def read_params(path) -> NormalizationParams:
     Rejects hand-edited files whose extrema are not finite, whose max lies
     below its min, or whose range is not max - min.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = _read_json(path)
     missing = [name for name in FEATURE_NAMES if name not in payload]
     if missing:
         raise ValueError(f"sidecar missing attributes: {', '.join(missing)}")

@@ -9,14 +9,13 @@ matches, as it does on the real file.
 
 from __future__ import annotations
 
-import csv
 import random
 from pathlib import Path
 from typing import Sequence
 
-from .cases import FEATURE_NAMES, TARGET_NAME
+from .dataset import CANONICAL_HEADER, _format_value, _write_rows
 
-HEADER: tuple[str, ...] = FEATURE_NAMES + (TARGET_NAME,)
+HEADER: tuple[str, ...] = CANONICAL_HEADER
 
 
 def _fresh_row(rng: random.Random) -> dict[str, int | float]:
@@ -83,13 +82,7 @@ def generate_rows(
 
 
 def write_csv(path, rows: Sequence[dict[str, int | float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(HEADER)
-        for row in rows:
-            writer.writerow(
-                [repr(float(row[k])) if k == "oldpeak" else str(int(row[k])) for k in HEADER]
-            )
+    _write_rows(path, HEADER, ([_format_value(k, row[k]) for k in HEADER] for row in rows))
 
 
 def write_synthetic_dataset(path, n: int, seed: int = 0, **kwargs) -> Path:

@@ -420,6 +420,15 @@ def test_model_shape_validation():
         MlpModel(sizes=(2, 2, 1), w_hidden=np.zeros((2, 3)), w_out=np.zeros((1, 3)), eta=-0.1, seed=0)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_non_finite_learning_rate_is_rejected(eta):
+    # A nan or inf eta would train nan weights that read_model rejects.
+    with pytest.raises(ValueError, match="learning rate"):
+        init_mlp(eta=eta)
+    with pytest.raises(ValueError, match="learning rate"):
+        train_mlp([[0.0] * 13], [1], epochs=1, eta=eta)
+
+
 def test_default_architecture_is_13_3_2():
     model = init_mlp(seed=0)
     assert model.sizes == (13, 3, 2)

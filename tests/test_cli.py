@@ -318,6 +318,14 @@ def test_train_nn_rejects_zero_epochs(tmp_path, clean_synthetic_csv, capsys):
     assert "train" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_train_nn_rejects_non_finite_eta(tmp_path, clean_synthetic_csv, capsys, eta):
+    args = ["train-nn", "--input", str(clean_synthetic_csv), "--eta", eta, "--out-dir", str(tmp_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: train: ")
+    assert not list(tmp_path.glob("mlp_*"))
+
+
 def test_train_nn_zero_eta_equals_untrained_model(tmp_path, clean_synthetic_csv):
     rc = main(
         [
@@ -370,23 +378,61 @@ def test_run_all_emits_full_output_set(tmp_path, synthetic_csv):
         assert (tmp_path / name).exists(), name
 
 
-# SHA-256 of the report files of run-all on synthetic sets (seed 7) of 1,025,
-# 10,250 and 102,500 rows. The 1,025-row digests were recorded with the
-# pure-Python per-pair scorer that preceded the numpy kernel, the 10,250-row
-# ones with the kernel before retain widened the extrema incrementally and
-# cached the scaled rows, the 102,500-row ones with the kernel that scored one
-# attribute at a time over row-major cases. Any change to a score, a
-# tie-break, the scaling or the report format shows here. The 102,500-row run
-# takes minutes, so it is marked slow and runs only with ``-m slow``.
+# SHA-256 of the files run-all writes on synthetic sets (seed 7) of 1,025,
+# 10,250 and 102,500 rows. The 1,025-row report digests were recorded with the
+# pure-Python per-pair scorer that preceded the numpy kernel, and its other
+# 18 files with the duplicate-collapse kernel, before the CSV and JSON writers
+# were merged into one each; the 10,250-row ones with the kernel before retain
+# widened the extrema incrementally and cached the scaled rows, the
+# 102,500-row ones with the kernel that scored one attribute at a time over
+# row-major cases. Any change to a score, a tie-break, the scaling, a table or
+# a file format shows here. The 102,500-row run takes minutes, so it is marked
+# slow and runs only with ``-m slow``.
 REPORT_DIGESTS = {
     1025: {
         "frozen": {
+            "case_base.csv": "6da8a4c4ce038d945dac09f76a65efb08870be5aa3167803db18273c2bc00aa4",
+            "correlation.csv": "e772c6f7814a10e4db6c4574333d44984f1b83177855c0ac0b99c66267abf119",
             "evaluation_report.json": "4f6da02474e2e54ace11eb5b0dd46a585fbdd4a9498114f2d926606e4e788532",
+            "normalization.json": "4c164b3aa540f3fe0c11fef659665e055ebdbf4ea78fd7b905e512d8a197a6dc",
             "per_case.csv": "6420591ec7ad1c42e3c68f61d4275d859bcd4cf0c1dec55815e706671592f37f",
+            "predicted_chest_pain.csv": "1dbf4f085b925aee6d5d7bc1849422dabcfd711b58f9ba88306893f1c48d0540",
+            "predicted_disease_by_age.csv": "4a712de671e8d77645b528818feddabe1278310a2b2170000e8347b47da5e15f",
+            "predicted_disease_counts.csv": "25c8b989ef70bd09a0bc211cf6bcfd0b5333dbfd76552636d3fb6633f5d69e49",
+            "predicted_gender_counts.csv": "43e7e0dc30b0f90209b3af0216f03aeb8f212d8990680c7fc77d677a09d06823",
+            "predicted_max_heart_rate_by_age.csv": "6826dd8f3a5dffecd7b279f388568982e0e899b33f04e0d30617746fbfabcc87",
+            "predicted_positives_by_gender.csv": "bbc50b31148c060249709dc662f8fc0b1100f01fcc07be3719c99847a76f1189",
+            "split_manifest.json": "e9d43c526dce999cd6efd683342ede9927e81d721ad94b3e4c28bab695aa6886",
+            "test.csv": "d890d5e11448297961c6e0309215f81fe41121377b5d6bf17d0c5afdd5405964",
+            "train.csv": "8f12c464f0ed2776c900a10a3f896d2f4b4b7e321752c98875bfd0ce5f3f06cd",
+            "true_chest_pain.csv": "bf2b9a83f750d08d8a55f373716835ca2905eaabbb00a4b551cf35ac636333d5",
+            "true_disease_by_age.csv": "1ea06357aa28e0330544de2ff4a7f77dc9f993b6720dd6e54ea80862be321f10",
+            "true_disease_counts.csv": "25c8b989ef70bd09a0bc211cf6bcfd0b5333dbfd76552636d3fb6633f5d69e49",
+            "true_gender_counts.csv": "43e7e0dc30b0f90209b3af0216f03aeb8f212d8990680c7fc77d677a09d06823",
+            "true_max_heart_rate_by_age.csv": "6826dd8f3a5dffecd7b279f388568982e0e899b33f04e0d30617746fbfabcc87",
+            "true_positives_by_gender.csv": "f09e5daead1a4c18b636478b32656042ed310f4fdeade94c07b436328c965175",
         },
         "incremental": {
+            "case_base.csv": "6da8a4c4ce038d945dac09f76a65efb08870be5aa3167803db18273c2bc00aa4",
+            "correlation.csv": "e772c6f7814a10e4db6c4574333d44984f1b83177855c0ac0b99c66267abf119",
             "evaluation_report.json": "cd5f7cb98cf54ff3937b18291f24de0a5e4405e4feae3892b20f54222087afb3",
+            "normalization.json": "4c164b3aa540f3fe0c11fef659665e055ebdbf4ea78fd7b905e512d8a197a6dc",
             "per_case.csv": "39c08262d1fec719f77b6eca662b61157b613feed3750f65b32cc696fe00675f",
+            "predicted_chest_pain.csv": "1ba132083dba38f32b9ac92897c779a3a6772f5fd53901189caf232c86503413",
+            "predicted_disease_by_age.csv": "a7dadcd37bde984dc629d9cacfdd2757c4db194a150b8c18fdcbad5a8293a931",
+            "predicted_disease_counts.csv": "9fe4fd8192ec58eeb306ef1c1e86bee6d983fa6dc655b98997427a0ef9caab0b",
+            "predicted_gender_counts.csv": "43e7e0dc30b0f90209b3af0216f03aeb8f212d8990680c7fc77d677a09d06823",
+            "predicted_max_heart_rate_by_age.csv": "6826dd8f3a5dffecd7b279f388568982e0e899b33f04e0d30617746fbfabcc87",
+            "predicted_positives_by_gender.csv": "3f3c7880a4328ee5155eab78d7144cabcf2329d49a8a9b11f2f1b661a5c93464",
+            "split_manifest.json": "e9d43c526dce999cd6efd683342ede9927e81d721ad94b3e4c28bab695aa6886",
+            "test.csv": "d890d5e11448297961c6e0309215f81fe41121377b5d6bf17d0c5afdd5405964",
+            "train.csv": "8f12c464f0ed2776c900a10a3f896d2f4b4b7e321752c98875bfd0ce5f3f06cd",
+            "true_chest_pain.csv": "bf2b9a83f750d08d8a55f373716835ca2905eaabbb00a4b551cf35ac636333d5",
+            "true_disease_by_age.csv": "1ea06357aa28e0330544de2ff4a7f77dc9f993b6720dd6e54ea80862be321f10",
+            "true_disease_counts.csv": "25c8b989ef70bd09a0bc211cf6bcfd0b5333dbfd76552636d3fb6633f5d69e49",
+            "true_gender_counts.csv": "43e7e0dc30b0f90209b3af0216f03aeb8f212d8990680c7fc77d677a09d06823",
+            "true_max_heart_rate_by_age.csv": "6826dd8f3a5dffecd7b279f388568982e0e899b33f04e0d30617746fbfabcc87",
+            "true_positives_by_gender.csv": "f09e5daead1a4c18b636478b32656042ed310f4fdeade94c07b436328c965175",
         },
     },
     10250: {
@@ -444,6 +490,25 @@ def test_run_all_reports_are_byte_identical_to_recorded_digests(tmp_path, seed7_
         for name in REPORT_DIGESTS[rows][mode]
     }
     assert digests == REPORT_DIGESTS[rows][mode]
+
+
+# SHA-256 of the files train-nn writes for TRAIN_NN_ARGS on the 1,025-row
+# synthetic set (seed 7), recorded before the CSV and JSON writers were merged.
+TRAIN_NN_ARGS = ["--epochs", "3", "--seed", "3"]
+TRAIN_NN_DIGESTS = {
+    "mlp_model.json": "8ee3b9a9c26530b5f85c9765c2a1543490882b20320275e89d370df24f16c0e8",
+    "mlp_report.json": "0ff5dffdf6d8acf367c073d14fcccdb216d389c844ee3a55b324e7b7d7789579",
+    "mlp_training_log.csv": "62f57f7917c75418ae648c0ec8ab36647b363a80d752d87a86cedd8b869748c3",
+}
+
+
+def test_train_nn_files_are_byte_identical_to_recorded_digests(tmp_path, seed7_csv):
+    args = ["train-nn", "--input", str(seed7_csv(1025)), "--out-dir", str(tmp_path), *TRAIN_NN_ARGS]
+    assert main(args) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in TRAIN_NN_DIGESTS
+    }
+    assert digests == TRAIN_NN_DIGESTS
 
 
 def test_run_all_incremental_retain_predicted_stats_cover_every_row(tmp_path, synthetic_csv):

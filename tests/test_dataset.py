@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from heartcbr import dataset
 from heartcbr.cases import Case, to_feature_vector
 from heartcbr.dataset import (
     CaseBase,
@@ -304,28 +305,28 @@ def test_derived_rows_transform_only_new_rows_while_the_key_stays_equal():
         rows[0, 0] = 0.0
 
 
-def test_a_read_that_overlaps_another_sees_the_whole_distinct_index():
-    # Reads may overlap each other, and the first read after an add extends
-    # the distinct index. Park the first reader right after it has numbered
-    # distinct row 100 (through the index's dict) and read again meanwhile:
-    # both reads must give the index that one reader builds alone.
+def test_a_read_that_overlaps_another_sees_the_whole_distinct_index(monkeypatch):
+    # Reads may overlap each other, and the first read builds the store that
+    # later reads share. Park the first reader's build right after it has
+    # numbered distinct row 100 and read again meanwhile: both reads must give
+    # the index of a base built alone, whose rows arrived through add.
     cases = [make_case(chol=100 + k) for k in range(200)]
-    want = [column.tolist() for column in CaseBase.from_cases(cases).distinct()]
-    base = CaseBase.from_cases(cases[:10])
-    base.distinct()  # built; the rest arrives through add
+    alone = CaseBase.from_cases(cases[:10])
+    alone.distinct()
     for case in cases[10:]:
-        base.add(case)
+        alone.add(case)
+    want = [column.tolist() for column in alone.distinct()]
+    base = CaseBase.from_cases(cases)
     parked = threading.Event()
+    index = dataset._Store._index
 
-    class ParkingDict(dict):
-        def setdefault(self, key, default=None):
-            value = super().setdefault(key, default)
-            if value == 100 and not parked.is_set():
-                parked.set()
-                time.sleep(0.2)
-            return value
+    def parking_index(store, row):
+        index(store, row)
+        if len(store.first_of) == 101 and not parked.is_set():
+            parked.set()
+            time.sleep(0.2)
 
-    base._first_of = ParkingDict(base._first_of)
+    monkeypatch.setattr(dataset._Store, "_index", parking_index)
     seen = {}
 
     def read(name):
@@ -337,3 +338,6 @@ def test_a_read_that_overlaps_another_sees_the_whole_distinct_index():
     read("fast")
     slow.join()
     assert seen == {"slow": want, "fast": want}
+    # Reads with no add between them hand out the very same views.
+    views = base.arrays() + base.distinct()
+    assert all(a is b for a, b in zip(views, base.arrays() + base.distinct()))

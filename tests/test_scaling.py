@@ -22,7 +22,7 @@ CHOL = FEATURE_NAMES.index("chol")
 
 def test_fit_extrema_from_column():
     cases = [make_case(chol=10), make_case(chol=20), make_case(chol=30)]
-    params = fit_minmax(cases)
+    params = fit_minmax(CaseBase.from_cases(cases))
     assert params.mins[CHOL] == 10
     assert params.maxs[CHOL] == 30
     assert params.ranges[CHOL] == 20
@@ -31,13 +31,13 @@ def test_fit_extrema_from_column():
 
 def test_constant_column_is_degenerate():
     cases = [make_case(chol=5), make_case(chol=5), make_case(chol=5)]
-    params = fit_minmax(cases)
+    params = fit_minmax(CaseBase.from_cases(cases))
     assert params.ranges[CHOL] == 0.0
     assert params.degenerate[CHOL]
 
 
 def test_single_case_training_set_all_degenerate():
-    params = fit_minmax([make_case()])
+    params = fit_minmax(CaseBase.from_cases([make_case()]))
     assert all(params.degenerate)
     assert all(r == 0.0 for r in params.ranges)
 
@@ -50,7 +50,7 @@ def test_fit_accepts_case_base():
 
 def test_fit_empty_training_set():
     with pytest.raises(ValueError):
-        fit_minmax([])
+        fit_minmax(CaseBase())
     with pytest.raises(ValueError):
         fit_from_vectors([])
 
@@ -91,7 +91,7 @@ def test_params_invariants_enforced():
 
 @given(cases_strategy(min_size=1, max_size=15))
 def test_training_values_normalize_into_unit_interval(cases):
-    params = fit_minmax(cases)
+    params = fit_minmax(CaseBase.from_cases(cases))
     for case in cases:
         for value in normalize(to_feature_vector(case), params):
             assert 0.0 <= value <= 1.0
@@ -99,7 +99,7 @@ def test_training_values_normalize_into_unit_interval(cases):
 
 @given(cases_strategy(min_size=2, max_size=15))
 def test_refit_on_normalized_training_data_gives_unit_extrema(cases):
-    params = fit_minmax(cases)
+    params = fit_minmax(CaseBase.from_cases(cases))
     scaled = [normalize(to_feature_vector(c), params) for c in cases]
     refit = fit_from_vectors(scaled)
     for i, degenerate in enumerate(params.degenerate):
@@ -117,7 +117,7 @@ def test_normalize_is_monotone_per_attribute():
 
 def test_sidecar_round_trip(tmp_path):
     cases = [make_case(chol=100, oldpeak=0.0), make_case(chol=300, oldpeak=3.3)]
-    params = fit_minmax(cases)
+    params = fit_minmax(CaseBase.from_cases(cases))
     path = tmp_path / "normalization.json"
     write_params(params, path)
     assert read_params(path) == params
@@ -174,7 +174,7 @@ def test_fit_after_adds_equals_reducing_the_columns(start, added, first_fit):
 
 
 def edited_sidecar(tmp_path, **chol):
-    params = fit_minmax([make_case(chol=100), make_case(chol=300)])
+    params = fit_minmax(CaseBase.from_cases([make_case(chol=100), make_case(chol=300)]))
     path = tmp_path / "normalization.json"
     write_params(params, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
