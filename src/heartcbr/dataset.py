@@ -11,6 +11,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -22,6 +23,7 @@ from .cases import (
     TARGET_NAME,
     Case,
     CaseValidationError,
+    _feature_values,
     to_feature_vector,
     validate_case,
 )
@@ -45,8 +47,9 @@ class DegenerateSplitError(DatasetError):
 
 def feature_matrix(cases: Sequence[Case]) -> np.ndarray:
     """Raw feature vectors of ``cases`` as an n x 13 float64 matrix."""
-    rows = [to_feature_vector(case) for case in cases]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
+    n = len(cases)
+    values = chain.from_iterable(map(_feature_values, cases))
+    return np.fromiter(values, np.float64, n * N_FEATURES).reshape(n, N_FEATURES)
 
 
 class _Store:

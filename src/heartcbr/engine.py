@@ -19,6 +19,15 @@ exactly 1.0 and scores are symmetric, bit for bit. Degenerate (zero-range)
 attributes match on equal raw values. :func:`evaluate` holds at most
 BLOCK_PAIRS scores at once.
 
+The kernel runs under a ufunc buffer of KERNEL_BUFSIZE elements and puts the
+caller's buffer size back when it returns or raises. With numpy's default
+buffer, the iterator copies the operand broadcast along the case axis into
+its buffer whenever that axis is shorter than the buffer, which costs more
+than the arithmetic; a small buffer lets it read that operand in place. Every
+ufunc in the kernel is elementwise, so the buffer size changes how the work
+is split up, never the bits. numpy keeps the setting per context (per thread
+before numpy 2.0), so no other thread sees the change.
+
 The kernel scores each distinct raw feature row of the case base once
 (:meth:`CaseBase.distinct`): identical rows get identical scores under any
 weights and scaling, so copies of a row cost nothing. Distinct rows are in
@@ -52,6 +61,7 @@ from .scaling import NormalizationParams, fit_minmax
 logger = logging.getLogger(__name__)
 
 BLOCK_PAIRS = 32_768  # query-case scores that evaluate holds at once
+KERNEL_BUFSIZE = 512  # elements of numpy's ufunc buffer while the kernel runs
 
 
 def _sequential_sum(values: Sequence[float]) -> float:
@@ -136,27 +146,31 @@ def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.n
     that fill one buffer of at most max(BLOCK_PAIRS, queries x cases) scores,
     then added into ``num`` one plane at a time, in attribute order.
     """
-    n_attributes = len(weights)
-    q_all = queries.T[:, :, np.newaxis]
-    c_all = cases[:, np.newaxis, :]
-    num = np.zeros((len(queries), cases.shape[1]))
-    group = max(1, min(BLOCK_PAIRS // max(num.size, 1), n_attributes))
-    buffer = np.empty((group,) + num.shape)
-    for start in range(0, n_attributes, group):
-        stop = min(start + group, n_attributes)
-        sim = buffer[: stop - start]
-        np.subtract(q_all[start:stop], c_all[start:stop], out=sim)
-        np.abs(sim, out=sim)
-        np.subtract(1.0, sim, out=sim)
-        np.maximum(sim, 0.0, out=sim)
-        for j, plane in enumerate(sim, start):
-            if degenerate[j]:
-                np.equal(q_all[j], c_all[j], out=plane)
-            if weights[j] != 1.0:  # x * 1.0 == x, so skipping it keeps the bits
-                plane *= weights[j]
-            num += plane  # not np.add.reduce over the group: it may sum pairwise
-    num /= weight_sum
-    return num
+    previous = np.setbufsize(KERNEL_BUFSIZE)
+    try:
+        n_attributes = len(weights)
+        q_all = queries.T[:, :, np.newaxis]
+        c_all = cases[:, np.newaxis, :]
+        num = np.zeros((len(queries), cases.shape[1]))
+        group = max(1, min(BLOCK_PAIRS // max(num.size, 1), n_attributes))
+        buffer = np.empty((group,) + num.shape)
+        for start in range(0, n_attributes, group):
+            stop = min(start + group, n_attributes)
+            sim = buffer[: stop - start]
+            np.subtract(q_all[start:stop], c_all[start:stop], out=sim)
+            np.abs(sim, out=sim)
+            np.subtract(1.0, sim, out=sim)
+            np.maximum(sim, 0.0, out=sim)
+            for j, plane in enumerate(sim, start):
+                if degenerate[j]:
+                    np.equal(q_all[j], c_all[j], out=plane)
+                if weights[j] != 1.0:  # x * 1.0 == x, so skipping it keeps the bits
+                    plane *= weights[j]
+                num += plane  # not np.add.reduce over the group: it may sum pairwise
+        num /= weight_sum
+        return num
+    finally:
+        np.setbufsize(previous)
 
 
 @lru_cache(maxsize=8)

@@ -6,17 +6,22 @@ must reproduce its scores bit for bit and pick the same best case (lowest id
 on ties) through every entry point: frozen ``evaluate`` (in blocks),
 incremental ``evaluate`` (predict + retain), ``predict`` and ``retrieve``.
 The kernel scores each distinct stored row once; the oracle scores every
-row, so copies of a row must expand back to every id unchanged.
+row, so copies of a row must expand back to every id unchanged. The kernel
+sets numpy's ufunc buffer size for itself, so its scores must not depend on
+the caller's setting, which it must leave as it found it, in every thread.
 """
 
+import contextlib
 import dataclasses
 import math
 import random
 import struct
+import threading
 import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -355,3 +360,81 @@ def test_subnormal_range_scores_without_a_warning():
     assert (prediction.best_case_id, prediction.best_global_similarity) == oracle_best(expected)
     assert [m.score for m in prediction.ranked] == expected
     assert report.per_case[0].best_similarity == max(expected)
+
+
+AMBIENT_BUFSIZES = (64, 8192, 1 << 16)
+
+
+@contextlib.contextmanager
+def numpy_bufsize(size):
+    previous = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
+def test_kernel_scores_do_not_depend_on_numpy_bufsize():
+    # Case counts below KERNEL_BUFSIZE, between it and numpy's default of
+    # 8192 and above that, for one query and for several, with attribute 5
+    # degenerate: it matches on equal values alone.
+    rng = random.Random(29)
+    weights = tuple(rng.choice(UNEVEN_WEIGHTS) for _ in range(13))
+    degenerate = tuple(j == 5 for j in range(13))
+    weight_sum = oracle_sum(weights)
+
+    def row():
+        return [float(rng.choice((0, 1, 2))) if deg else rng.uniform(-0.5, 1.5) for deg in degenerate]
+
+    queries = [row() for _ in range(5)]
+    for n_cases in (100, 1000, 9000):
+        stored = [row() for _ in range(n_cases)]
+        expected = np.array(
+            [[oracle_score(q, c, weights, degenerate, weight_sum) for c in stored] for q in queries]
+        )
+        cases = np.array(stored).T.copy()
+        for n_queries in (1, len(queries)):
+            for ambient in AMBIENT_BUFSIZES:
+                with numpy_bufsize(ambient):
+                    scores = engine._score_block(
+                        np.array(queries[:n_queries]), cases, weights, degenerate, weight_sum
+                    )
+                    assert np.getbufsize() == ambient
+                bits = expected[:n_queries].view(np.int64)
+                assert np.array_equal(scores.view(np.int64), bits), (n_cases, n_queries, ambient)
+
+    # A case matrix with 12 attributes against 13 weights raises inside the
+    # kernel, which still puts the caller's buffer size back.
+    for ambient in AMBIENT_BUFSIZES:
+        with numpy_bufsize(ambient):
+            with pytest.raises(ValueError):
+                engine._score_block(np.array(queries), cases[:12], weights, degenerate, weight_sum)
+            assert np.getbufsize() == ambient
+
+
+def test_kernel_leaves_other_threads_bufsize_alone():
+    cases = [validate_case(raw)[0] for raw in generate_rows(200, seed=5)]
+    base = CaseBase.from_cases(cases[:150])
+    params = fit_minmax(base)
+    ready, done = threading.Event(), threading.Event()
+    seen = []
+
+    def other():
+        np.setbufsize(64)
+        ready.set()
+        done.wait(timeout=30)
+        seen.append(np.getbufsize())
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    try:
+        assert ready.wait(timeout=30)
+        ambient = np.getbufsize()
+        for query in cases[150:]:
+            predict(query, base, SimilarityConfig(), params)
+        assert np.getbufsize() == ambient
+    finally:
+        done.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert seen == [64]
