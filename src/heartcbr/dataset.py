@@ -12,6 +12,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -337,14 +338,18 @@ def _records(source, *, allow_case_id: bool) -> Iterator:
         positions = _resolve_header(raw_header, allow_case_id=allow_case_id)
         yield positions
         width = len(raw_header)
+        names = tuple(positions)
+        # The header has at least the 13 attribute columns, so the getter
+        # always returns a tuple.
+        cells = itemgetter(*positions.values())
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
+            if not any(map(str.strip, row)):
                 continue
             if len(row) != width:
                 raise DatasetError(
                     f"line {line_no}: expected {width} fields, found {len(row)}"
                 )
-            yield line_no, {name: row[idx] for name, idx in positions.items()}
+            yield line_no, dict(zip(names, cells(row)))
     finally:
         if should_close:
             stream.close()

@@ -1,9 +1,16 @@
+import dataclasses
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings, strategies as st
 
 from heartcbr.cases import (
     CATEGORICAL_DOMAINS,
     FEATURE_NAMES,
+    LENIENT_FIELDS,
+    TARGET_DOMAIN,
+    TARGET_NAME,
+    VALIDATION_MODES,
     Case,
     CaseValidationError,
     case_to_mapping,
@@ -171,3 +178,176 @@ def test_case_to_mapping_round_trip(raw):
 def test_domains_match_schema():
     assert set(CATEGORICAL_DOMAINS) < set(FEATURE_NAMES)
     assert len(FEATURE_NAMES) == 13
+
+
+# --- Oracle: validate_case against the per-field validator it must match ---
+#
+# A verbatim copy of the per-field validator, which validated every record
+# before the one-pass fast branch existed. The fast branch may only accept
+# what this accepts, with the same values and types; every warning and every
+# error must come out word for word as here.
+
+
+def _oracle_parse_int(field, value):
+    if isinstance(value, bool):
+        raise CaseValidationError(f"{field}: non-integer value {value!r}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        if not math.isfinite(value) or not value.is_integer():
+            raise CaseValidationError(f"{field}: non-integer value {value!r}")
+        return int(value)
+    text = str(value).strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        as_float = float(text)
+    except ValueError:
+        raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
+    if not math.isfinite(as_float) or not as_float.is_integer():
+        raise CaseValidationError(f"{field}: non-integer value {value!r}")
+    return int(as_float)
+
+
+def _oracle_parse_float(field, value):
+    if isinstance(value, bool):
+        raise CaseValidationError(f"{field}: non-numeric value {value!r}")
+    try:
+        result = float(value)
+    except (TypeError, ValueError):
+        raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
+    if not math.isfinite(result):
+        raise CaseValidationError(f"{field}: non-finite value {value!r}")
+    return result
+
+
+def _oracle_validate_case(raw, mode="lenient"):
+    if mode not in VALIDATION_MODES:
+        raise ValueError(f"unknown validation mode {mode!r}")
+
+    missing = [name for name in FEATURE_NAMES if name not in raw]
+    if missing:
+        raise CaseValidationError(f"missing fields: {', '.join(missing)}")
+
+    values = {}
+    for name in FEATURE_NAMES:
+        if name == "oldpeak":
+            values[name] = _oracle_parse_float(name, raw[name])
+        else:
+            values[name] = _oracle_parse_int(name, raw[name])
+
+    if values["oldpeak"] < 0:
+        raise CaseValidationError(f"oldpeak: negative value {values['oldpeak']!r}")
+
+    warnings = []
+    for name, domain in CATEGORICAL_DOMAINS.items():
+        code = values[name]
+        if code in domain:
+            continue
+        message = f"{name}: value {code} outside documented domain {sorted(domain)}"
+        if mode == "lenient" and name in LENIENT_FIELDS:
+            warnings.append(message)
+        else:
+            raise CaseValidationError(message)
+
+    target = None
+    raw_target = raw.get(TARGET_NAME)
+    if raw_target is not None and str(raw_target).strip() != "":
+        target = _oracle_parse_int(TARGET_NAME, raw_target)
+        if target not in TARGET_DOMAIN:
+            raise CaseValidationError(
+                f"target: value {target} outside domain {sorted(TARGET_DOMAIN)}"
+            )
+
+    return Case(**values, target=target), warnings
+
+
+# Characters around a number: U+001C-U+001F are stripped by str.strip() but
+# not skipped by int(), the rest are skipped by both.
+PADDING = st.text(alphabet="\x1c\x1d\x1e\x1f \t\n\r\x0b\x0c\x85\xa0 　", max_size=2)
+NON_ASCII_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+ODD_VALUES = st.sampled_from(
+    [
+        True, False, None, "", " ", "abc", "1_0", "_10", "5.0", "5.5", "1e3", "1e400",
+        "nan", "inf", "-inf", "-0.0", "-0", 5.0, 5.5, 0.0, -0.0,
+        float("nan"), float("inf"), 2**53 + 1, 10**20, -1, 2, 4, 10**400,
+    ]
+)
+
+
+ABSENT = object()
+
+
+def _respelled(value, form, padding, odd):
+    """Spelling number ``form`` of ``value``: the forms the fast branch takes, and ones it must pass on."""
+    text = repr(value)
+    forms = [text, padding[0] + text + padding[1], text.translate(NON_ASCII_DIGITS), odd]
+    if isinstance(value, int):
+        forms += [float(value), value + 0.5, f"{value}.0", text[0] + "_" + text[1:] if len(text) > 1 else text]
+    else:
+        forms += [float("inf"), "inf", -0.0, int(value) if value.is_integer() else "1e3"]
+    return forms[form]
+
+
+@st.composite
+def oracle_records(draw):
+    """Mostly in-domain records, as text or numbers, with a field or two respelled or missing."""
+    base = draw(in_domain_raw(with_target=False))
+    base["ca"] = draw(st.sampled_from([0, 1, 2, 3, 3, 3, 4]))
+    base["thal"] = draw(st.sampled_from([0, 1, 2, 2, 2, 3]))
+    raw = {name: draw(st.sampled_from([value, repr(value)])) for name, value in base.items()}
+    # oldpeak, the one float field, is picked about as often as all the others together.
+    for name in draw(st.lists(st.sampled_from(FEATURE_NAMES + ("oldpeak",) * 12), max_size=2)):
+        if draw(st.integers(0, 19)) == 0:
+            raw.pop(name, None)  # a missing field
+        else:
+            form = draw(st.integers(0, 7))
+            raw[name] = _respelled(base[name], form, draw(st.tuples(PADDING, PADDING)), draw(ODD_VALUES))
+    target = draw(
+        st.sampled_from(
+            [0, 1, "0", "1", "", ABSENT, None] * 2 + [" 1 ", 2, "2", True, 1.0, "1.0", "x"]
+        )
+    )
+    if target is not ABSENT:
+        raw[TARGET_NAME] = target
+    return raw
+
+
+def _outcome(validate, raw, mode):
+    """What ``validate`` makes of ``raw``: each field's type and repr plus the warnings, or the error."""
+    try:
+        case, warnings = validate(dict(raw), mode)
+    except Exception as exc:
+        return ("raises", type(exc), str(exc))
+    fields = [(type(value), repr(value)) for value in (getattr(case, f.name) for f in dataclasses.fields(case))]
+    return ("accepts", fields, warnings)
+
+
+@pytest.mark.parametrize("mode", VALIDATION_MODES)
+@settings(max_examples=300, deadline=None)
+@given(raw=oracle_records())
+@example(raw=make_raw(age="\x1c54\x1f"))
+@example(raw=make_raw(chol=" 2 5 "))
+@example(raw=make_raw(trestbps=130.5))
+@example(raw=make_raw(thalach=150.0))
+@example(raw=make_raw(oldpeak=float("inf")))
+@example(raw=make_raw(oldpeak="inf"))
+@example(raw=make_raw(oldpeak=-0.0))
+@example(raw=make_raw(age=2**53 + 1, chol=str(10**20)))
+@example(raw=make_raw(sex=True))
+@example(raw=make_raw(age="٥٤", chol="2_50", trestbps=" 130\xa0", target=" 1 "))
+@example(raw={name: value for name, value in make_raw().items() if name != "chol"})
+def test_validate_case_agrees_with_the_per_field_oracle(mode, raw):
+    expected = _outcome(_oracle_validate_case, raw, mode)
+    assert _outcome(validate_case, raw, mode) == expected
+    if expected[0] == "accepts":
+        case, _ = validate_case(dict(raw), mode)
+        reference, _ = _oracle_validate_case(dict(raw), mode)
+        assert case == reference
+        assert hash(case) == hash(reference)
+        assert repr(case) == repr(reference)
+        assert vars(case) == vars(reference)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            case.age = 0

@@ -102,6 +102,51 @@ def test_parse_preserves_order():
     assert [c.age for c in cases] == [61, 40, 59, 33]
 
 
+# Blank rows as csv.reader sees them: no cells, one blank cell, blank cells.
+BLANK_ROWS = ["", "   ", "\t", " , ,\t", ",,,,,,,,,,,,,", '""']
+
+
+def test_parse_skips_blank_rows_and_cites_the_file_line_after_them():
+    bad = ROW.replace("250", "abc")
+    text = "\n".join([HEADER, ROW, *BLANK_ROWS, ROW, "", bad]) + "\n"
+    bad_line = 2 + len(BLANK_ROWS) + 3
+    with pytest.raises(DatasetError) as exc:
+        parse_csv(io.StringIO(text))
+    assert str(exc.value) == f"line {bad_line}: chol: non-numeric value 'abc'"
+    good = "\n".join([HEADER, ROW, *BLANK_ROWS, ROW, ""]) + "\n"
+    assert len(parse_csv(io.StringIO(good))) == 2
+
+
+def test_parse_cites_the_file_line_of_a_short_row_after_blank_rows():
+    text = "\n".join([HEADER, *BLANK_ROWS, "54,1,0"]) + "\n"
+    with pytest.raises(DatasetError) as exc:
+        parse_csv(io.StringIO(text))
+    assert str(exc.value) == f"line {2 + len(BLANK_ROWS)}: expected 14 fields, found 3"
+
+
+def test_read_case_base_skips_blank_rows_and_cites_the_file_line_after_them(tmp_path):
+    path = tmp_path / "base.csv"
+    rows = [f"case_id,{HEADER}", f"0,{ROW}", *BLANK_ROWS, f"1,{ROW}", "  ", f"2,{ROW[:-1]}7"]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DatasetError) as exc:
+        read_case_base(path)
+    assert str(exc.value) == f"line {len(rows)}: target: value 7 outside domain [0, 1]"
+    path.write_text("\n".join(rows[:-1]) + "\n")
+    assert read_case_base(path).ids() == [0, 1]
+
+
+def test_integers_past_two_to_the_53_survive_parse_write_and_read(tmp_path):
+    row = ROW.replace("54", "9007199254740993", 1).replace("250", str(10**20))
+    (case,) = parse_csv(io.StringIO(f"{HEADER}\n{row}\n"))
+    assert (case.age, case.chol) == (2**53 + 1, 10**20)
+    path = tmp_path / "base.csv"
+    write_case_base(CaseBase.from_cases([case]), path)
+    assert f"0,9007199254740993,1,0,130,{10**20}," in path.read_text()
+    (reread,) = read_case_base(path).cases()
+    assert (reread.age, reread.chol) == (9007199254740993, 100000000000000000000)
+    assert reread == case
+
+
 # --- splitting -------------------------------------------------------------
 
 
