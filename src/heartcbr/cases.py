@@ -105,6 +105,8 @@ def _parse_float(field: str, value: object) -> float:
         result = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
+    except OverflowError:  # an int past the float range
+        result = math.inf
     if not math.isfinite(result):
         raise CaseValidationError(f"{field}: non-finite value {value!r}")
     return result

@@ -36,6 +36,7 @@ CANONICAL_HEADER: tuple[str, ...] = FEATURE_NAMES + (TARGET_NAME,)
 # CSV uses "sex" and "trestbps". Both spellings are accepted.
 HEADER_ALIASES = {"gender": "sex", "resttbps": "trestbps"}
 CASE_ID_COLUMN = "case_id"
+_ROW_BYTES = np.dtype((np.void, N_FEATURES * 8))  # a raw feature row as one bytes value
 
 
 class DatasetError(ValueError):
@@ -53,141 +54,91 @@ def feature_matrix(cases: Sequence[Case]) -> np.ndarray:
     return np.fromiter(values, np.float64, n * N_FEATURES).reshape(n, N_FEATURES)
 
 
-class _Store:
-    """The arrays retrieval reads, over every row of a case base.
+class CaseBase:
+    """Ordered store of solved cases with stable, strictly increasing ids.
 
-    Built once from the cases stored so far; from then on :meth:`append`
-    writes each added case into a spare row, widens the extrema and numbers
-    the row in the distinct index. ``views`` and the extrema are replaced
-    after each change, never written into, so a reader that took them keeps
-    arrays that agree with each other.
+    This is the CBR memory: ids are non-negative int64 values assigned in
+    insertion order and never reused, every stored case carries a target,
+    and existing entries are never mutated (retain only appends). Single
+    writer, any number of concurrent readers: a read must not overlap
+    :meth:`add`, but reads may overlap each other, and no read changes what
+    another reads.
+
+    Retrieval reads :meth:`arrays` (raw features, ids, targets),
+    :meth:`distinct` (the distinct raw feature rows) and :meth:`extrema`
+    (column minima and maxima). The constructor builds them all in one
+    batch; :meth:`add` then writes each new case into a spare row, widens
+    the extrema, looks the row up in the distinct index (one dict lookup)
+    and replaces the read-only views, so a reader keeps views that agree
+    with each other. The ids array is the only copy of the ids; the cases
+    are kept too, as they hold integers past 2**53 exactly.
+    :meth:`derived_rows` keeps one transform of the distinct rows (the
+    engine's scaled rows) up to date, attribute-major.
     """
 
-    def __init__(self, cases: Sequence[Case], ids: Sequence[int]):
-        features = feature_matrix(cases)
+    def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
+        self._cases: list[Case] = []
+        ids: list[int] = []
+        for case_id, case in entries:
+            if case.target is None:
+                raise DatasetError(f"case {case_id}: stored cases must have a target")
+            last = ids[-1] if ids else -1
+            if not last < case_id < 2**63:
+                raise DatasetError(_id_fault(case_id, last))
+            ids.append(case_id)
+            self._cases.append(case)
+        features = feature_matrix(self._cases)
         # Column (minima, maxima) of the rows in use.
-        self.lo = features.min(axis=0, initial=np.inf)
-        self.hi = features.max(axis=0, initial=-np.inf)
+        self._lo = features.min(axis=0, initial=np.inf)
+        self._hi = features.max(axis=0, initial=-np.inf)
         capacity = max(2 * len(features), 64)
-        ids = np.array(ids, dtype=np.int64)
-        targets = np.array([case.target for case in cases], dtype=np.int64)
-        built = tuple(_grown(column, capacity) for column in (features, ids, targets))
-        self._set_arrays(built + tuple(np.empty((2, capacity), dtype=np.int64)))
+        targets = [case.target for case in self._cases]
+        built = (features, np.array(ids, dtype=np.int64), np.array(targets, dtype=np.int64))
+        first_and_columns = tuple(np.empty((2, capacity), dtype=np.int64))
+        self._set_arrays(tuple(_grown(column, capacity) for column in built) + first_and_columns)
         # Bytes of a raw feature row -> its distinct row, numbered in order of
         # first occurrence. Bytes keys take about a third of the memory of
         # float tuples, and the collector never scans them.
-        self.first_of: dict[bytes, int] = {}
-        for row in range(len(features)):
-            self._index(row)
-        self.n = len(features)
+        self._first_of: dict[bytes, int] = {}
+        self._index(0, len(features))
+        # (key, rows, count) of derived_rows(): rows is attributes x capacity,
+        # and its first count columns hold the transform of the first count
+        # distinct rows. No key equals the initial object().
+        self._derived: tuple[object, np.ndarray, int] = (object(), np.empty((0, 0)), 0)
         self._publish()
 
+    @classmethod
+    def from_cases(cls, cases: Iterable[Case]) -> "CaseBase":
+        return cls(enumerate(cases))
+
     def _set_arrays(self, arrays: tuple[np.ndarray, ...]) -> None:
-        # (features, ids, targets, first, columns): the first n rows of
-        # features, ids, targets and columns and the first len(first_of)
+        # (features, ids, targets, first, columns): the first len(self) rows
+        # of features, ids, targets and columns and the first len(_first_of)
         # entries of first are in use, the rest is spare. _read_only holds a
         # read-only view of each, so slices of them are read-only too.
-        self.arrays = arrays
+        self._arrays = arrays
         self._read_only = tuple(array.view() for array in arrays)
         for view in self._read_only:
             view.flags.writeable = False
 
-    def _index(self, row: int) -> None:
-        """Number feature row ``row`` in the distinct index."""
-        features, _, _, first, columns = self.arrays
-        n_distinct = len(self.first_of)
-        column = columns[row] = self.first_of.setdefault(features[row].tobytes(), n_distinct)
-        if column == n_distinct:
-            first[column] = row
+    def _index(self, start: int, stop: int) -> None:
+        """Number feature rows ``start`` to ``stop - 1`` in the distinct index."""
+        features, _, _, first, columns = self._arrays
+        keys = features[start:stop].view(_ROW_BYTES).ravel().tolist()
+        for row, key in enumerate(keys, start):
+            n_distinct = len(self._first_of)
+            column = columns[row] = self._first_of.setdefault(key, n_distinct)
+            if column == n_distinct:
+                first[column] = row
 
     def _publish(self) -> None:
-        n = self.n
+        n = len(self._cases)
         features, ids, targets, first, columns = self._read_only
-        self.views = (features[:n], ids[:n], targets[:n], first[: len(self.first_of)], columns[:n])
-
-    def append(self, case_id: int, case: Case) -> None:
-        row = self.n
-        if row == len(self.arrays[0]):
-            self._set_arrays(tuple(_grown(array, 2 * row) for array in self.arrays))
-        features, ids, targets, _, _ = self.arrays
-        features[row] = to_feature_vector(case)
-        ids[row] = case_id
-        targets[row] = case.target
-        # np.minimum/np.maximum are the ufuncs behind the column reductions in
-        # __init__, so ties between 0.0 and -0.0 resolve the same way.
-        self.lo = np.minimum(self.lo, features[row])
-        self.hi = np.maximum(self.hi, features[row])
-        self._index(row)
-        self.n = row + 1
-        self._publish()
-
-
-class CaseBase:
-    """Ordered store of solved cases with stable, strictly increasing ids.
-
-    This is the CBR memory: ids are assigned in insertion order and never
-    reused, every stored case carries a target, and existing entries are
-    never mutated (retain only appends). Single writer, any number of
-    concurrent readers: a read must not overlap :meth:`add`, but reads may
-    overlap each other, and no read changes what another reads.
-
-    Retrieval reads the base through :meth:`arrays`, a raw feature matrix
-    with the ids and targets beside it, :meth:`distinct`, which numbers the
-    distinct raw feature rows, and :meth:`extrema`, the column minima and
-    maxima. All three come from one store that the first read builds over
-    the cases stored so far and publishes with a single assignment, so
-    parsing and splitting never pay for it. From then on :meth:`add` keeps
-    the store current: it writes the new case into a spare row, widens the
-    extrema with it, looks it up in the distinct index (one dict lookup) and
-    replaces the read-only views. :meth:`derived_rows` keeps one transform of
-    the distinct rows (the engine's scaled rows) up to date, stored
-    attribute-major so the engine reads each attribute of every distinct row
-    as one contiguous row.
-    """
-
-    def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
-        self._ids: list[int] = []
-        self._cases: list[Case] = []
-        # Built by the first read (_built), then kept current by add.
-        self._store: _Store | None = None
-        # (key, rows, count) of derived_rows(): rows is attributes x capacity,
-        # and its first count columns hold the transform of the first count
-        # distinct rows.
-        self._derived: tuple[object, np.ndarray, int] | None = None
-        for case_id, case in entries:
-            self._insert(case_id, case)
-
-    @classmethod
-    def from_cases(cls, cases: Iterable[Case]) -> "CaseBase":
-        base = cls()
-        for case in cases:
-            base.add(case)
-        return base
-
-    def _insert(self, case_id: int, case: Case) -> None:
-        if case.target is None:
-            raise DatasetError(f"case {case_id}: stored cases must have a target")
-        if self._ids and case_id <= self._ids[-1]:
-            raise DatasetError(
-                f"case_id {case_id} not strictly increasing (last was {self._ids[-1]})"
-            )
-        if case_id < 0:
-            raise DatasetError(f"case_id {case_id} must be non-negative")
-        if self._store is not None:
-            self._store.append(case_id, case)
-        self._ids.append(case_id)
-        self._cases.append(case)
-
-    def _built(self) -> _Store:
-        """The retrieval store; the first call builds it over the cases stored so far."""
-        store = self._store
-        if store is None:
-            store = self._store = _Store(self._cases, self._ids)
-        return store
+        self._views = (features[:n], ids[:n], targets[:n], first[: len(self._first_of)], columns[:n])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only views: raw features (n x 13 float64), ids and targets (int64)."""
-        return self._built().views[:3]
+        return self._views[:3]
 
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views ``(first, columns)`` of the distinct raw feature rows (int64).
@@ -201,7 +152,7 @@ class CaseBase:
         their bits, so rows that differ only there get two columns (with
         equal scores).
         """
-        return self._built().views[3:]
+        return self._views[3:]
 
     def extrema(self) -> tuple[list[float], list[float]]:
         """Column minima and maxima of the raw features (inf and -inf when empty).
@@ -209,8 +160,7 @@ class CaseBase:
         Min and max are exact, so widening them one added row at a time gives
         the same floats, signed zeros included, as reducing all of :meth:`arrays`.
         """
-        store = self._built()
-        return store.lo.tolist(), store.hi.tolist()
+        return self._lo.tolist(), self._hi.tolist()
 
     def derived_rows(self, key, transform) -> np.ndarray:
         """Read-only ``transform`` of the distinct feature rows, cached while ``key`` stays equal.
@@ -226,16 +176,14 @@ class CaseBase:
         the cached one transforms every distinct row into a new array, so
         views handed out earlier never change.
         """
-        store = self._built()
-        features, _, _, first, _ = store.views
+        features, _, _, first, _ = self._views
         n = len(first)
-        capacity = len(store.arrays[0])
-        cached = self._derived
-        if cached is None or cached[0] != key:
+        capacity = len(self._arrays[0])
+        cached_key, rows, done = self._derived
+        if cached_key != key:
             rows = np.empty(features.shape[1:] + (capacity,))
             rows[:, :n] = transform(features.take(first, axis=0)).T
         else:
-            _, rows, done = cached
             if rows.shape[1] < capacity:
                 grown = np.empty(rows.shape[:1] + (capacity,))
                 grown[:, :done] = rows[:, :done]
@@ -249,29 +197,51 @@ class CaseBase:
 
     def add(self, case: Case) -> int:
         """Append a solved case under a fresh id and return that id."""
-        case_id = self._ids[-1] + 1 if self._ids else 0
-        self._insert(case_id, case)
+        row = len(self._cases)
+        case_id = int(self._arrays[1][row - 1]) + 1 if row else 0
+        if case.target is None:
+            raise DatasetError(f"case {case_id}: stored cases must have a target")
+        if row == len(self._arrays[0]):
+            self._set_arrays(tuple(_grown(array, 2 * row) for array in self._arrays))
+        features, ids, targets, _, _ = self._arrays
+        features[row] = to_feature_vector(case)
+        ids[row] = case_id
+        targets[row] = case.target
+        # np.minimum/np.maximum are the ufuncs behind the column reductions in
+        # __init__, so ties between 0.0 and -0.0 resolve the same way.
+        self._lo = np.minimum(self._lo, features[row])
+        self._hi = np.maximum(self._hi, features[row])
+        self._index(row, row + 1)
+        self._cases.append(case)
+        self._publish()
         return case_id
 
     def cases(self) -> list[Case]:
         return list(self._cases)
 
     def ids(self) -> list[int]:
-        return list(self._ids)
+        return self._views[1].tolist()
 
     def __iter__(self) -> Iterator[tuple[int, Case]]:
-        return iter(zip(self._ids, self._cases))
+        return zip(self.ids(), self._cases)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._cases)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CaseBase):
             return NotImplemented
-        return self._ids == other._ids and self._cases == other._cases
+        return self.ids() == other.ids() and self._cases == other._cases
 
     def __repr__(self) -> str:
         return f"CaseBase(n={len(self)})"
+
+
+def _id_fault(case_id: int, last: int) -> str:
+    """Why ``case_id`` may not follow ``last`` (-1 before the first id)."""
+    if case_id == last >= 0:
+        return f"duplicate case_id {case_id}"
+    return f"case_id {case_id} outside [{last + 1}, 2**63)"
 
 
 def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
@@ -460,21 +430,21 @@ def write_case_base(case_base: CaseBase, sink) -> None:
 def read_case_base(source) -> CaseBase:
     """Reload a case base written by :func:`write_case_base`, losslessly."""
     entries: list[tuple[int, Case]] = []
-    seen_ids: set[int] = set()
     with closing(_records(source, allow_case_id=True)) as records:
         positions = next(records)
         if CASE_ID_COLUMN not in positions:
             raise DatasetError("missing case_id column")
         if TARGET_NAME not in positions:
             raise DatasetError("missing target column")
+        last = -1
         for line_no, raw in records:
             try:
                 case_id = int(raw.pop(CASE_ID_COLUMN))
             except ValueError:
                 raise DatasetError(f"line {line_no}: non-integer case_id") from None
-            if case_id in seen_ids:
-                raise DatasetError(f"line {line_no}: duplicate case_id {case_id}")
-            seen_ids.add(case_id)
+            if not last < case_id < 2**63:
+                raise DatasetError(f"line {line_no}: {_id_fault(case_id, last)}")
+            last = case_id
             try:
                 case, _ = validate_case(raw, "lenient")
             except CaseValidationError as exc:
@@ -482,7 +452,4 @@ def read_case_base(source) -> CaseBase:
             if case.target is None:
                 raise DatasetError(f"line {line_no}: stored case missing target")
             entries.append((case_id, case))
-    try:
-        return CaseBase(entries)
-    except DatasetError as exc:
-        raise DatasetError(f"invalid persisted case base: {exc}") from exc
+    return CaseBase(entries)

@@ -259,6 +259,16 @@ def rank_scaled(
     return _ranking(scores[0], ids, targets)
 
 
+def _best_matches(scores: np.ndarray, case_base: CaseBase) -> list[tuple[int, float, int]]:
+    """(target, score, case id) of the best stored case for each row of distinct-row ``scores``."""
+    _, ids, targets = case_base.arrays()
+    first, _ = case_base.distinct()
+    top = scores.argmax(axis=1)
+    rows = first[top]
+    top_scores = scores[np.arange(len(top)), top]
+    return list(zip(targets[rows].tolist(), top_scores.tolist(), ids[rows].tolist()))
+
+
 def retrieve(
     query: Case,
     case_base: CaseBase,
@@ -266,10 +276,7 @@ def retrieve(
     params: NormalizationParams,
 ) -> list[RankedMatch]:
     """Rank every stored case against the query, highest similarity first."""
-    scores = next(_score_blocks([query], case_base, config, params))[0]
-    ranked = _ranking(scores[case_base.distinct()[1]], *case_base.arrays()[1:])
-    logger.debug("retrieve: ranked %d cases, best id %d", len(ranked), ranked[0].case_id)
-    return ranked
+    return list(predict(query, case_base, config, params).ranked)
 
 
 def reuse(ranked: Sequence[RankedMatch]) -> int:
@@ -293,15 +300,13 @@ def predict(
     The revise stage is intentionally a no-op: with a binary outcome there is
     nothing to adapt, so the reused solution is final.
     """
-    scores = next(_score_blocks([query], case_base, config, params))[0]
-    _, ids, targets = case_base.arrays()
-    first, columns = case_base.distinct()
-    column = scores.argmax()
-    best, score = first[column], scores[column].item()
-    predicted = targets[best].item()
-    logger.debug("reuse: case %d, score %.6f -> target %d", ids[best], score, predicted)
+    scores = next(_score_blocks([query], case_base, config, params))
+    ((predicted, score, best_id),) = _best_matches(scores, case_base)
+    logger.debug("reuse: case %d, score %.6f -> target %d", best_id, score, predicted)
     logger.debug("revise: no-op (binary solution)")
-    return Prediction(predicted, ids[best].item(), score, (scores, columns, ids, targets, top_k))
+    _, ids, targets = case_base.arrays()
+    evidence = (scores[0], case_base.distinct()[1], ids, targets, top_k)
+    return Prediction(predicted, best_id, score, evidence)
 
 
 def retain(
@@ -357,13 +362,8 @@ def evaluate(
             best.append((p.predicted_target, p.best_global_similarity, p.best_case_id))
             case_base, params = retain(case, p.predicted_target, case_base)
     else:
-        _, ids, targets = case_base.arrays()
-        first, _ = case_base.distinct()
         for scores in _score_blocks(test_cases, case_base, config, params):
-            top = scores.argmax(axis=1)
-            top_scores = scores[np.arange(len(top)), top]
-            rows = first[top]
-            best.extend(zip(targets[rows].tolist(), top_scores.tolist(), ids[rows].tolist()))
+            best.extend(_best_matches(scores, case_base))
 
     results = tuple(
         CaseResult(index, case.target, predicted, score, case_id)  # type: ignore[arg-type]

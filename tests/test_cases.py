@@ -114,6 +114,11 @@ def test_negative_oldpeak_rejected(mode):
         validate_case(make_raw(oldpeak=-0.5), mode)
 
 
+def test_int_oldpeak_past_the_float_range_rejected():
+    with pytest.raises(CaseValidationError, match="^oldpeak: non-finite value 1000"):
+        validate_case(make_raw(oldpeak=10**400))
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         validate_case(make_raw(), "casual")
@@ -218,6 +223,8 @@ def _oracle_parse_float(field, value):
         result = float(value)
     except (TypeError, ValueError):
         raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
+    except OverflowError:  # an int past the float range
+        result = math.inf
     if not math.isfinite(result):
         raise CaseValidationError(f"{field}: non-finite value {value!r}")
     return result
@@ -335,6 +342,7 @@ def _outcome(validate, raw, mode):
 @example(raw=make_raw(oldpeak=float("inf")))
 @example(raw=make_raw(oldpeak="inf"))
 @example(raw=make_raw(oldpeak=-0.0))
+@example(raw=make_raw(oldpeak=10**400))
 @example(raw=make_raw(age=2**53 + 1, chol=str(10**20)))
 @example(raw=make_raw(sex=True))
 @example(raw=make_raw(age="٥٤", chol="2_50", trestbps=" 130\xa0", target=" 1 "))

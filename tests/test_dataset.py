@@ -1,14 +1,11 @@
 import io
 import math
-import threading
-import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from heartcbr import dataset
 from heartcbr.cases import Case, to_feature_vector
 from heartcbr.dataset import (
     CaseBase,
@@ -257,7 +254,31 @@ def test_duplicate_case_id_rejected(tmp_path):
     path.write_text(f"case_id,{HEADER}\n0,{ROW}\n0,{ROW}\n")
     with pytest.raises(DatasetError) as exc:
         read_case_base(path)
-    assert "duplicate" in str(exc.value)
+    assert str(exc.value) == "line 3: duplicate case_id 0"
+
+
+def test_out_of_order_case_id_rejected_citing_its_line(tmp_path):
+    path = tmp_path / "order.csv"
+    path.write_text(f"case_id,{HEADER}\n0,{ROW}\n5,{ROW}\n3,{ROW}\n")
+    with pytest.raises(DatasetError, match=r"^line 4: case_id 3 outside \[6, 2\*\*63\)$"):
+        read_case_base(path)
+
+
+def test_case_id_past_int64_rejected_citing_its_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(f"case_id,{HEADER}\n0,{ROW}\n{2**63},{ROW}\n")
+    with pytest.raises(DatasetError, match=rf"^line 3: case_id {2**63} outside \[1, 2\*\*63\)$"):
+        read_case_base(path)
+    path.write_text(f"case_id,{HEADER}\n-1,{ROW}\n")
+    with pytest.raises(DatasetError, match=r"^line 2: case_id -1 outside \[0, 2\*\*63\)$"):
+        read_case_base(path)
+    path.write_text(f"case_id,{HEADER}\n{2**63 - 1},{ROW}\n")
+    assert read_case_base(path).ids() == [2**63 - 1]
+
+
+def test_case_base_rejects_ids_past_int64():
+    with pytest.raises(DatasetError, match="outside"):
+        CaseBase([(10**20, make_case())])
 
 
 def test_case_base_file_missing_target_column(tmp_path):
@@ -350,39 +371,26 @@ def test_derived_rows_transform_only_new_rows_while_the_key_stays_equal():
         rows[0, 0] = 0.0
 
 
-def test_a_read_that_overlaps_another_sees_the_whole_distinct_index(monkeypatch):
-    # Reads may overlap each other, and the first read builds the store that
-    # later reads share. Park the first reader's build right after it has
-    # numbered distinct row 100 and read again meanwhile: both reads must give
-    # the index of a base built alone, whose rows arrived through add.
-    cases = [make_case(chol=100 + k) for k in range(200)]
-    alone = CaseBase.from_cases(cases[:10])
-    alone.distinct()
-    for case in cases[10:]:
-        alone.add(case)
-    want = [column.tolist() for column in alone.distinct()]
+def test_a_base_built_in_one_batch_equals_one_grown_by_add():
+    # The constructor and add number the same rows alike. The rows include
+    # copies stored under the other target and rows that differ only in the
+    # sign of a zero, which have equal scores but are distinct.
+    cases = [make_case(chol=100 + k % 7, target=k % 2) for k in range(150)]
+    cases += [make_case(oldpeak=0.0), make_case(oldpeak=-0.0), make_case(oldpeak=-0.0, target=0)]
+    cases += [make_case(chol=300 + k, oldpeak=-0.0 if k % 3 else 0.0) for k in range(50)]
     base = CaseBase.from_cases(cases)
-    parked = threading.Event()
-    index = dataset._Store._index
+    grown = CaseBase.from_cases(cases[:10])
+    for case in cases[10:]:
+        grown.add(case)
 
-    def parking_index(store, row):
-        index(store, row)
-        if len(store.first_of) == 101 and not parked.is_set():
-            parked.set()
-            time.sleep(0.2)
+    def state(case_base):
+        views = case_base.arrays() + case_base.distinct()
+        columns = [(view.dtype, view.tolist(), view.tobytes()) for view in views]
+        return columns, np.array(case_base.extrema()).tobytes()
 
-    monkeypatch.setattr(dataset._Store, "_index", parking_index)
-    seen = {}
-
-    def read(name):
-        seen[name] = [column.tolist() for column in base.distinct()]
-
-    slow = threading.Thread(target=read, args=("slow",))
-    slow.start()
-    assert parked.wait(timeout=10)
-    read("fast")
-    slow.join()
-    assert seen == {"slow": want, "fast": want}
+    assert state(base) == state(grown)
+    assert grown == base
+    assert len(base.distinct()[0]) == 7 + 2 + 50
     # Reads with no add between them hand out the very same views.
     views = base.arrays() + base.distinct()
     assert all(a is b for a, b in zip(views, base.arrays() + base.distinct()))
