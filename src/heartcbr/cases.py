@@ -75,20 +75,31 @@ class Case:
 FeatureVector = tuple[float, ...]
 
 
+def _within_float_range(field: str, value: int) -> int:
+    """``value``, if float() can convert it; the message of a rejected one shows none of its digits."""
+    try:
+        float(value)
+    except OverflowError:
+        raise CaseValidationError(f"{field}: integer outside the float range") from None
+    return value
+
+
 def _parse_int(field: str, value: object) -> int:
     if isinstance(value, bool):
         raise CaseValidationError(f"{field}: non-integer value {value!r}")
     if isinstance(value, int):
-        return value
+        return _within_float_range(field, value)
     if isinstance(value, float):
         if not math.isfinite(value) or not value.is_integer():
             raise CaseValidationError(f"{field}: non-integer value {value!r}")
         return int(value)
     text = str(value).strip()
     try:
-        return int(text)
+        result = int(text)
     except ValueError:
         pass
+    else:
+        return _within_float_range(field, result)
     try:
         as_float = float(text)
     except ValueError:
@@ -105,8 +116,8 @@ def _parse_float(field: str, value: object) -> float:
         result = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
-    except OverflowError:  # an int past the float range
-        result = math.inf
+    except OverflowError:
+        raise CaseValidationError(f"{field}: integer outside the float range") from None
     if not math.isfinite(result):
         raise CaseValidationError(f"{field}: non-finite value {value!r}")
     return result
@@ -131,7 +142,9 @@ def _accepted(raw) -> Case | None:
     A record is plain when ``raw`` is a dict, the 12 integer fields hold
     ``str`` or ``int``, oldpeak holds ``str``, ``int`` or ``float``, and the
     target is absent, None, ``""``, 0, 1, ``"0"`` or ``"1"``. Each field is
-    then converted by one C-level ``int()``/``float()`` call. ``int(text)``
+    then converted by one C-level ``int()``/``float()`` call, and one
+    ``math.fsum`` over the integers steps aside for any that float() cannot
+    convert, so only the per-field parsers reject them. ``int(text)``
     accepts a subset of what ``int(text.strip())`` accepts (U+001C-U+001F
     padding is stripped but not ignored by ``int``) and returns the same
     value, so every case returned here is the one the per-field parsers
@@ -153,11 +166,13 @@ def _accepted(raw) -> Case | None:
         ):
             return None
         values = list(map(int, fields))
+        math.fsum(values)  # converts each value as float() does
         peak = float(peak)
         target = _PLAIN_TARGETS[target]
     except (KeyError, ValueError, OverflowError):
         # A missing field, text that int() or float() refuses, an int too big
-        # for a float: the only errors the plain types above can raise.
+        # for a float (or a sum of them that overflows in fsum): the only
+        # errors the plain types above can raise.
         return None
     if not (math.isfinite(peak) and peak >= 0 and all(map(contains, _DOMAINS, _codes(values)))):
         return None
@@ -179,7 +194,8 @@ def validate_case(raw, mode: str = "lenient") -> tuple[Case, list[str]]:
 
     Returns the validated :class:`Case` and the list of warnings. Raises
     :class:`CaseValidationError` on missing fields, non-numeric text,
-    out-of-domain values (strict) or negative oldpeak.
+    integers that float() cannot convert, out-of-domain values (strict) or
+    negative oldpeak.
 
     A fast branch converts a plain, in-domain record in one C-level pass
     (``_accepted``). It may only accept: on any exception or doubt it
@@ -220,7 +236,8 @@ def validate_case(raw, mode: str = "lenient") -> tuple[Case, list[str]]:
 
     target: int | None = None
     raw_target = raw.get(TARGET_NAME)
-    if raw_target is not None and str(raw_target).strip() != "":
+    # str() of an int is never blank, and it fails past 4,300 digits.
+    if raw_target is not None and (isinstance(raw_target, int) or str(raw_target).strip() != ""):
         target = _parse_int(TARGET_NAME, raw_target)
         if target not in TARGET_DOMAIN:
             raise CaseValidationError(

@@ -250,7 +250,7 @@ def cmd_predict(args) -> int:
         _stage("write", write_params, params, sidecar)
 
     query = _build_query(args)
-    prediction = _stage("predict", predict, query, case_base, args.config, params, top_k=1)
+    prediction = _stage("predict", predict, query, case_base, args.config, params)
 
     retained = False
     if args.retain:

@@ -201,6 +201,8 @@ class CaseBase:
         case_id = int(self._arrays[1][row - 1]) + 1 if row else 0
         if case.target is None:
             raise DatasetError(f"case {case_id}: stored cases must have a target")
+        if case_id == 2**63:
+            raise DatasetError(f"no case id left: the last id is {case_id - 1}, the largest below 2**63")
         if row == len(self._arrays[0]):
             self._set_arrays(tuple(_grown(array, 2 * row) for array in self._arrays))
         features, ids, targets, _, _ = self._arrays

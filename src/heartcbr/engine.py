@@ -32,14 +32,14 @@ The kernel scores each distinct raw feature row of the case base once
 (:meth:`CaseBase.distinct`): identical rows get identical scores under any
 weights and scaling, so copies of a row cost nothing. Distinct rows are in
 order of first occurrence, so the best case is ``first[argmax]``, the lowest
-id among the best-scoring rows as ids only increase. Rankings expand the
-scores back to every stored id through ``columns`` and sort by (-score, id).
+id among the best-scoring rows as ids only increase. :func:`retrieve` expands
+the scores back to every stored id through ``columns`` and sorts by
+(-score, id); :func:`predict` never sorts.
 
 The scaled distinct rows are cached on the case base, attribute-major, while
 the scaling parameters stay equal, so a predict after a retain scales the new
 row alone (none when it repeats a stored row); a refit that moves an
 extremum rescales the base once, at the next predict.
-:attr:`Prediction.ranked` is built from the score vector when first read.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -104,37 +104,13 @@ class RankedMatch(NamedTuple):
 _new_match = partial(tuple.__new__, RankedMatch)  # RankedMatch._make without its Python frame
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Prediction:
-    """Retrieval outcome: the reused solution plus the ranked evidence.
-
-    ``ranked`` is the best-first tuple of :class:`RankedMatch` (the first
-    ``top_k`` of them when given). It is built the first time it is read,
-    from the distinct-row scores expanded to every stored id, then kept;
-    stored rows are never mutated, so later retains do not change it.
-    Equality compares all four fields, the ranking included.
-    """
+    """Outcome of retrieve + reuse: the reused solution and the best case it came from."""
 
     predicted_target: int
     best_case_id: int
     best_global_similarity: float
-    _evidence: tuple = field(repr=False)  # (distinct scores, columns, ids, targets, top_k)
-
-    @cached_property
-    def ranked(self) -> tuple[RankedMatch, ...]:
-        scores, columns, *rest = self._evidence
-        return tuple(_ranking(scores[columns], *rest))
-
-    def _fields(self) -> tuple:
-        return (self.predicted_target, self.best_case_id, self.best_global_similarity, self.ranked)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
 
 def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.ndarray:
@@ -218,8 +194,8 @@ def _score_blocks(
         yield _score_block(block, cases, config.weights, params.degenerate, config.weight_sum)
 
 
-def _ranking(scores: np.ndarray, ids, targets, top_k: int | None = None) -> list[RankedMatch]:
-    order = np.lexsort((ids, -scores))[:top_k]
+def _ranking(scores: np.ndarray, ids, targets) -> list[RankedMatch]:
+    order = np.lexsort((ids, -scores))
     columns = (np.asarray(ids)[order], scores[order], np.asarray(targets)[order])
     return list(map(_new_match, zip(*(column.tolist() for column in columns))))
 
@@ -244,17 +220,15 @@ def rank_scaled(
     ids: Sequence[int],
     targets: Sequence[int],
     weights: Sequence[float],
-    degenerate: Sequence[bool] | None = None,
 ) -> list[RankedMatch]:
     """Score pre-scaled rows against a pre-scaled query, best first.
 
-    Generic over the number of attributes. The sort is descending by score
-    with exact ties ordered by ascending case id.
+    Generic over the number of attributes; no attribute is degenerate. The
+    sort is descending by score with exact ties ordered by ascending case id.
     """
-    if degenerate is None:
-        degenerate = (False,) * len(query)
     queries = np.array([query], dtype=np.float64)
     cases = np.array(rows, dtype=np.float64).reshape(len(rows), len(query))
+    degenerate = (False,) * len(query)
     scores = _score_block(queries, cases.T, weights, degenerate, _sequential_sum(weights))
     return _ranking(scores[0], ids, targets)
 
@@ -275,8 +249,10 @@ def retrieve(
     config: SimilarityConfig,
     params: NormalizationParams,
 ) -> list[RankedMatch]:
-    """Rank every stored case against the query, highest similarity first."""
-    return list(predict(query, case_base, config, params).ranked)
+    """Rank every stored case against the query, highest similarity first, lowest id on ties."""
+    scores = next(_score_blocks([query], case_base, config, params))
+    _, ids, targets = case_base.arrays()
+    return _ranking(scores[0][case_base.distinct()[1]], ids, targets)
 
 
 def reuse(ranked: Sequence[RankedMatch]) -> int:
@@ -293,20 +269,19 @@ def predict(
     case_base: CaseBase,
     config: SimilarityConfig,
     params: NormalizationParams,
-    top_k: int | None = None,
 ) -> Prediction:
     """Run retrieve + reuse for one query without retaining it.
 
-    The revise stage is intentionally a no-op: with a binary outcome there is
-    nothing to adapt, so the reused solution is final.
+    Only the best case is taken from the scores, so nothing is sorted; the
+    ranking is :func:`retrieve`'s. The revise stage is intentionally a no-op:
+    with a binary outcome there is nothing to adapt, so the reused solution
+    is final.
     """
     scores = next(_score_blocks([query], case_base, config, params))
     ((predicted, score, best_id),) = _best_matches(scores, case_base)
     logger.debug("reuse: case %d, score %.6f -> target %d", best_id, score, predicted)
     logger.debug("revise: no-op (binary solution)")
-    _, ids, targets = case_base.arrays()
-    evidence = (scores[0], case_base.distinct()[1], ids, targets, top_k)
-    return Prediction(predicted, best_id, score, evidence)
+    return Prediction(predicted, best_id, score)
 
 
 def retain(
@@ -358,7 +333,7 @@ def evaluate(
     best: list[tuple[int, float, int]] = []  # (predicted target, score, case id) per query
     if incremental_retain:
         for case in test_cases:
-            p = predict(case, case_base, config, params, top_k=1)
+            p = predict(case, case_base, config, params)
             best.append((p.predicted_target, p.best_global_similarity, p.best_case_id))
             case_base, params = retain(case, p.predicted_target, case_base)
     else:

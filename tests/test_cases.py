@@ -115,8 +115,34 @@ def test_negative_oldpeak_rejected(mode):
 
 
 def test_int_oldpeak_past_the_float_range_rejected():
-    with pytest.raises(CaseValidationError, match="^oldpeak: non-finite value 1000"):
+    with pytest.raises(CaseValidationError, match="^oldpeak: integer outside the float range$"):
         validate_case(make_raw(oldpeak=10**400))
+
+
+@pytest.mark.parametrize(
+    "field, value, mode",
+    [
+        ("sex", 10**5000, "strict"),
+        ("ca", 10**5000, "lenient"),
+        ("oldpeak", 10**5000, "lenient"),
+        ("target", 10**5000, "lenient"),
+        ("age", -(10**400), "strict"),
+        ("age", "1" + "0" * 400, "lenient"),
+        ("chol", 2**1024 - 2**970, "lenient"),  # rounds up to 2**1024
+    ],
+    ids=["sex-strict", "ca", "oldpeak", "target", "negative-age", "age-text", "chol-rounds-up"],
+)
+def test_integer_past_the_float_range_rejected_without_its_digits(field, value, mode):
+    with pytest.raises(CaseValidationError) as exc:
+        validate_case(make_raw(**{field: value}), mode)
+    assert str(exc.value) == f"{field}: integer outside the float range"
+
+
+def test_largest_integer_below_the_float_overflow_accepted():
+    value = 2**1024 - 2**970 - 1  # rounds down to the largest float
+    case, _ = validate_case(make_raw(chol=value))
+    assert case.chol == value
+    assert to_feature_vector(case)[FEATURE_NAMES.index("chol")] == 1.7976931348623157e308
 
 
 def test_unknown_mode_rejected():
@@ -190,23 +216,35 @@ def test_domains_match_schema():
 # A verbatim copy of the per-field validator, which validated every record
 # before the one-pass fast branch existed. The fast branch may only accept
 # what this accepts, with the same values and types; every warning and every
-# error must come out word for word as here.
+# error must come out word for word as here. Where the per-field rules change
+# on purpose, this copy changes with them: an integer that float() cannot
+# convert is rejected without its digits, in every field and the target.
+
+
+def _oracle_within_float_range(field, value):
+    try:
+        float(value)
+    except OverflowError:
+        raise CaseValidationError(f"{field}: integer outside the float range") from None
+    return value
 
 
 def _oracle_parse_int(field, value):
     if isinstance(value, bool):
         raise CaseValidationError(f"{field}: non-integer value {value!r}")
     if isinstance(value, int):
-        return value
+        return _oracle_within_float_range(field, value)
     if isinstance(value, float):
         if not math.isfinite(value) or not value.is_integer():
             raise CaseValidationError(f"{field}: non-integer value {value!r}")
         return int(value)
     text = str(value).strip()
     try:
-        return int(text)
+        result = int(text)
     except ValueError:
         pass
+    else:
+        return _oracle_within_float_range(field, result)
     try:
         as_float = float(text)
     except ValueError:
@@ -223,8 +261,8 @@ def _oracle_parse_float(field, value):
         result = float(value)
     except (TypeError, ValueError):
         raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
-    except OverflowError:  # an int past the float range
-        result = math.inf
+    except OverflowError:
+        raise CaseValidationError(f"{field}: integer outside the float range") from None
     if not math.isfinite(result):
         raise CaseValidationError(f"{field}: non-finite value {value!r}")
     return result
@@ -261,7 +299,7 @@ def _oracle_validate_case(raw, mode="lenient"):
 
     target = None
     raw_target = raw.get(TARGET_NAME)
-    if raw_target is not None and str(raw_target).strip() != "":
+    if raw_target is not None and (isinstance(raw_target, int) or str(raw_target).strip() != ""):
         target = _oracle_parse_int(TARGET_NAME, raw_target)
         if target not in TARGET_DOMAIN:
             raise CaseValidationError(
@@ -280,6 +318,8 @@ ODD_VALUES = st.sampled_from(
         True, False, None, "", " ", "abc", "1_0", "_10", "5.0", "5.5", "1e3", "1e400",
         "nan", "inf", "-inf", "-0.0", "-0", 5.0, 5.5, 0.0, -0.0,
         float("nan"), float("inf"), 2**53 + 1, 10**20, -1, 2, 4, 10**400,
+        -(10**400), str(10**400), 10**5000, 2**1023, -(2**1023), 2**1023 - 1,
+        2**1024 - 2**970 - 1, 2**1024 - 2**970,
     ]
 )
 
@@ -314,7 +354,8 @@ def oracle_records(draw):
             raw[name] = _respelled(base[name], form, draw(st.tuples(PADDING, PADDING)), draw(ODD_VALUES))
     target = draw(
         st.sampled_from(
-            [0, 1, "0", "1", "", ABSENT, None] * 2 + [" 1 ", 2, "2", True, 1.0, "1.0", "x"]
+            [0, 1, "0", "1", "", ABSENT, None] * 2
+            + [" 1 ", 2, "2", True, 1.0, "1.0", "x", 10**400, 10**5000, str(10**400)]
         )
     )
     if target is not ABSENT:
@@ -343,6 +384,14 @@ def _outcome(validate, raw, mode):
 @example(raw=make_raw(oldpeak="inf"))
 @example(raw=make_raw(oldpeak=-0.0))
 @example(raw=make_raw(oldpeak=10**400))
+@example(raw=make_raw(oldpeak=10**5000))
+@example(raw=make_raw(age=10**400, oldpeak=-1.0))
+@example(raw=make_raw(ca=10**5000, target=10**5000))
+@example(raw=make_raw(thalach=2**1023, chol=-(2**1023) + 1))
+@example(raw=make_raw(trestbps=str(2**1024 - 2**970 - 1)))
+@example(raw=make_raw(age=10**308, chol=str(10**308)))  # each converts; their sum overflows
+@example(raw=make_raw(chol=10**400))
+@example(raw=make_raw(thalach=str(-(10**400))))
 @example(raw=make_raw(age=2**53 + 1, chol=str(10**20)))
 @example(raw=make_raw(sex=True))
 @example(raw=make_raw(age="٥٤", chol="2_50", trestbps=" 130\xa0", target=" 1 "))

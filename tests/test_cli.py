@@ -8,11 +8,11 @@ import pytest
 from heartcbr.baselines import evaluate_mlp, init_mlp
 from heartcbr.cases import FEATURE_NAMES, to_feature_vector
 from heartcbr.cli import main
-from heartcbr.dataset import parse_csv, read_case_base, split_sequential
-from heartcbr.scaling import fit_minmax, normalize
+from heartcbr.dataset import CaseBase, parse_csv, read_case_base, split_sequential, write_case_base, write_cases
+from heartcbr.scaling import fit_minmax, normalize, write_params
 from heartcbr.synthetic import write_synthetic_dataset
 
-from conftest import subprocess_env
+from conftest import make_case, subprocess_env
 
 
 def read_json(path):
@@ -185,6 +185,22 @@ def test_predict_from_single_row_query_csv(split_dir, tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["best_global_similarity"] == 1.0
+
+
+def test_predict_retain_past_the_largest_id_fails_and_leaves_both_files(tmp_path, capsys):
+    cases = [make_case(age=54), make_case(age=61, target=0), make_case(chol=199)]
+    base_path, sidecar = tmp_path / "case_base.csv", tmp_path / "normalization.json"
+    base = CaseBase([(0, cases[0]), (1, cases[1]), (2**63 - 1, cases[2])])
+    write_case_base(base, base_path)
+    write_params(fit_minmax(base), sidecar)
+    before = base_path.read_bytes(), sidecar.read_bytes()
+    query_path = tmp_path / "query.csv"
+    write_cases(cases[1:2], query_path)
+    rc = main(["predict", "--case-base", str(base_path), "--query", str(query_path), "--retain"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: retain: no case id left: the last id is 9223372036854775807, the largest below 2**63\n"
+    assert (base_path.read_bytes(), sidecar.read_bytes()) == before
 
 
 def test_predict_rejects_multi_row_query(split_dir, tmp_path, capsys):

@@ -31,6 +31,12 @@ def test_parse_two_line_file():
     assert cases[0].target == 1
 
 
+def test_integer_past_the_float_range_rejected_citing_its_line():
+    huge = ROW.replace("54", "1" + "0" * 400, 1)
+    with pytest.raises(DatasetError, match=r"^line 3: age: integer outside the float range$"):
+        parse_csv(io.StringIO(f"{HEADER}\n{ROW}\n{huge}\n"))
+
+
 def test_parse_error_cites_line_number():
     bad = ROW.replace("250", "abc")
     with pytest.raises(DatasetError) as exc:
@@ -279,6 +285,15 @@ def test_case_id_past_int64_rejected_citing_its_line(tmp_path):
 def test_case_base_rejects_ids_past_int64():
     with pytest.raises(DatasetError, match="outside"):
         CaseBase([(10**20, make_case())])
+
+
+def test_add_after_the_largest_id_raises_and_leaves_the_base_unchanged():
+    base = CaseBase([(0, make_case(age=40)), (2**63 - 1, make_case(age=50))])
+    before = (base.ids(), base.cases(), [a.tolist() for a in (*base.arrays(), *base.distinct())])
+    with pytest.raises(DatasetError, match=r"^no case id left: the last id is 9223372036854775807, the largest below 2\*\*63$"):
+        base.add(make_case(age=60))
+    assert (base.ids(), base.cases(), [a.tolist() for a in (*base.arrays(), *base.distinct())]) == before
+    assert base.extrema() == CaseBase.from_cases(base.cases()).extrema()
 
 
 def test_case_base_file_missing_target_column(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -206,10 +207,9 @@ def test_predict_and_evaluate_resolve_exact_ties_to_lowest_id():
     cases = [make_case(age=50, target=1), make_case(age=60, target=0), make_case(age=50, target=0)]
     base = CaseBase.from_cases(cases)
     params = fit_minmax(base)
-    for top_k in (None, 1):
-        prediction = predict(make_case(age=50), base, SimilarityConfig(), params, top_k=top_k)
-        assert (prediction.best_case_id, prediction.predicted_target) == (0, 1)
-        assert prediction.ranked[0].case_id == 0
+    prediction = predict(make_case(age=50), base, SimilarityConfig(), params)
+    assert (prediction.best_case_id, prediction.predicted_target) == (0, 1)
+    assert retrieve(make_case(age=50), base, SimilarityConfig(), params)[0].case_id == 0
     report = evaluate([make_case(age=50, target=0)], base, SimilarityConfig(), params)
     assert (report.per_case[0].best_case_id, report.per_case[0].predicted_target) == (0, 1)
 
@@ -236,11 +236,12 @@ def test_reuse_empty_rejected():
 
 def test_predict_identical_query_returns_stored_solution():
     base, params = toy_base()
-    prediction = predict(make_case(age=48, chol=120, thalach=116), base, SimilarityConfig(), params)
+    query = make_case(age=48, chol=120, thalach=116)
+    prediction = predict(query, base, SimilarityConfig(), params)
     assert prediction.predicted_target == 1
     assert prediction.best_case_id == 1
     assert prediction.best_global_similarity == 1.0
-    assert prediction.ranked[0] == RankedMatch(1, 1.0, 1)
+    assert retrieve(query, base, SimilarityConfig(), params)[0] == RankedMatch(1, 1.0, 1)
 
 
 def test_predict_single_case_base_returns_its_target():
@@ -255,15 +256,13 @@ def test_predict_has_no_retain_side_effect():
     assert len(base) == 4
 
 
-def test_predict_top_k_truncates_ranking():
+def test_retrieve_ranks_every_stored_case():
     base, params = toy_base()
-    prediction = predict(make_case(age=44), base, SimilarityConfig(), params, top_k=2)
-    assert len(prediction.ranked) == 2
-    full = predict(make_case(age=44), base, SimilarityConfig(), params)
-    assert len(full.ranked) == 4
+    ranked = retrieve(make_case(age=44), base, SimilarityConfig(), params)
+    assert sorted(m.case_id for m in ranked) == base.ids()
 
 
-def test_predict_ranking_read_after_retains_equals_one_read_before():
+def test_retrieve_after_retains_equals_retrieve_on_a_base_built_at_once():
     # 40 stored cases give 80 rows of capacity; 45 retains cross that doubling,
     # and two of them widen the chol extrema at both ends.
     base = CaseBase.from_cases(
@@ -271,10 +270,7 @@ def test_predict_ranking_read_after_retains_equals_one_read_before():
     )
     params = fit_minmax(base)
     config, query = SimilarityConfig(), make_case(age=45, chol=230)
-    unread = {k: predict(query, base, config, params, top_k=k) for k in (None, 1, 3)}
-    read = {k: predict(query, base, config, params, top_k=k) for k in (None, 1, 3)}
-    before = {k: p.ranked for k, p in read.items()}
-    full = tuple(retrieve(query, base, config, params))
+    assert len(retrieve(query, base, config, params)) == 40
     for k in range(45):
         chol = {0: 50, 1: 900}.get(k, 210 + k)
         base, params = retain(make_case(age=45, chol=chol), k % 2, base)
@@ -282,18 +278,15 @@ def test_predict_ranking_read_after_retains_equals_one_read_before():
     chol_index = FEATURE_NAMES.index("chol")
     assert (params.mins[chol_index], params.maxs[chol_index]) == (50, 900)
 
-    assert before[None] == full
-    for k, prediction in unread.items():
-        assert prediction.ranked == before[k]
-        assert len(prediction.ranked) == {None: 40, 1: 1, 3: 3}[k]
-        assert prediction == read[k]
-        for match in prediction.ranked:
-            assert type(match) is RankedMatch
-            assert (type(match.case_id), type(match.score), type(match.target)) == (int, float, int)
-    # Same reused case, score and target; only the rankings differ.
-    fields = [(p.predicted_target, p.best_case_id, p.best_global_similarity) for p in unread.values()]
-    assert len(set(fields)) == 1
-    assert unread[1] != unread[3] and unread[3] != unread[None]
+    ranked = retrieve(query, base, config, params)
+    at_once = CaseBase.from_cases(base.cases())
+    assert ranked == retrieve(query, at_once, config, fit_minmax(at_once))
+    assert len(ranked) == 85
+    for match in ranked:
+        assert type(match) is RankedMatch
+        assert (type(match.case_id), type(match.score), type(match.target)) == (int, float, int)
+    prediction = predict(query, base, config, params)
+    assert (prediction.best_case_id, prediction.best_global_similarity, prediction.predicted_target) == ranked[0]
 
 
 # --- oracle equivalence ---------------------------------------------------------
@@ -546,8 +539,17 @@ def test_evaluate_rejects_empty_or_unlabelled_test_sets():
 
 def test_prediction_dataclass_shape():
     base, params = toy_base()
-    prediction = predict(make_case(age=44), base, SimilarityConfig(), params)
+    query = make_case(age=44)
+    prediction = predict(query, base, SimilarityConfig(), params)
     assert isinstance(prediction, Prediction)
-    assert prediction.best_global_similarity == max(m.score for m in prediction.ranked)
+    assert [f.name for f in dataclasses.fields(Prediction)] == [
+        "predicted_target", "best_case_id", "best_global_similarity"
+    ]
+    assert prediction == predict(query, base, SimilarityConfig(), params)
+    assert hash(prediction) == hash(dataclasses.astuple(prediction))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prediction.best_case_id = 0
+    ranked = retrieve(query, base, SimilarityConfig(), params)
+    assert prediction.best_global_similarity == max(m.score for m in ranked)
     stored_targets = dict(zip(base.ids(), (c.target for c in base.cases())))
     assert prediction.predicted_target == stored_targets[prediction.best_case_id]

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from heartcbr import engine
 from heartcbr.cases import FEATURE_NAMES, to_feature_vector, validate_case
 from heartcbr.dataset import CaseBase
-from heartcbr.engine import SimilarityConfig, evaluate, global_similarity, predict, retrieve
+from heartcbr.engine import SimilarityConfig, evaluate, global_similarity, predict, retrieve, reuse
 from heartcbr.scaling import NormalizationParams, fit_from_vectors, fit_minmax, normalize
 from heartcbr.synthetic import generate_rows
 
@@ -105,7 +105,7 @@ def check_kernel(base_cases, queries, weights, block_pairs):
         assert result.predicted_target == targets[best_id]
         assert_python_types(result)
 
-        prediction = predict(query, base, config, params, top_k=1)
+        prediction = predict(query, base, config, params)
         assert (prediction.best_case_id, prediction.best_global_similarity) == (best_id, best_score)
         assert type(prediction.best_global_similarity) is float
         assert type(prediction.best_case_id) is int
@@ -113,10 +113,7 @@ def check_kernel(base_cases, queries, weights, block_pairs):
         expected = sorted(zip(range(len(scores)), scores, targets), key=lambda m: (-m[1], m[0]))
         assert [tuple(m) for m in ranked] == expected
         assert all(type(m.score) is float and type(m.case_id) is int for m in ranked)
-        assert [tuple(m) for m in predict(query, base, config, params).ranked] == expected
-        assert [tuple(m) for m in prediction.ranked] == expected[:1]
-        top_3 = predict(query, base, config, params, top_k=3).ranked
-        assert [tuple(m) for m in top_3] == expected[:3]
+        assert (prediction.best_case_id, prediction.best_global_similarity, prediction.predicted_target) == expected[0]
 
     # Incremental: query i sees the base grown by queries 0..i-1 with their
     # predicted targets, and scaling refitted on the grown base.
@@ -340,9 +337,40 @@ def test_duplicate_collapse_keeps_the_lowest_id_and_every_row():
     query = make_case(oldpeak=-0.0, target=1)
     prediction = predict(query, base, config, params)
     assert (prediction.predicted_target, prediction.best_case_id) == (0, 0)
-    assert [m.case_id for m in prediction.ranked] == [0, 1, 2, 3, 4]
-    assert {m.score for m in prediction.ranked[:4]} == {1.0}
+    ranked = retrieve(query, base, config, params)
+    assert [m.case_id for m in ranked] == [0, 1, 2, 3, 4]
+    assert {m.score for m in ranked[:4]} == {1.0}
     check_kernel(base_cases, [query, base_cases[3], make_case(sex=0)], weights, block_pairs=4)
+
+
+@st.composite
+def tie_inputs(draw):
+    """collapse_inputs with up to four attributes made constant (degenerate) across the base."""
+    base, queries, weights, _ = draw(collapse_inputs())
+    for name in draw(st.sets(st.sampled_from(FEATURE_NAMES), max_size=4)):
+        base = [dataclasses.replace(c, **{name: getattr(base[0], name)}) for c in base]
+    return base, queries, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_inputs())
+def test_the_three_lowest_id_tie_rules_agree(inputs):
+    # predict takes first[argmax] of the distinct-row scores, retrieve sorts
+    # every id by (-score, id), and reuse takes the max over (score, -id).
+    base_cases, queries, weights = inputs
+    base = CaseBase.from_cases(base_cases)
+    config, params = SimilarityConfig(tuple(weights)), fit_minmax(base)
+    for query in queries:
+        prediction = predict(query, base, config, params)
+        ranked = retrieve(query, base, config, params)
+        best = ranked[0]
+        assert prediction.best_case_id == best.case_id
+        assert prediction.best_global_similarity.hex() == best.score.hex()
+        assert prediction.predicted_target == best.target
+        assert reuse(ranked) == best.target
+        # With each target swapped for its id, reuse names the case it picks,
+        # whatever order it reads them in.
+        assert reuse([m._replace(target=m.case_id) for m in reversed(ranked)]) == best.case_id
 
 
 def test_subnormal_range_scores_without_a_warning():
@@ -356,9 +384,10 @@ def test_subnormal_range_scores_without_a_warning():
         warnings.simplefilter("error")
         prediction = predict(query, base, SimilarityConfig(), fit_minmax(base))
         report = evaluate([query], base, SimilarityConfig(), fit_minmax(base))
+        ranked = retrieve(query, base, SimilarityConfig(), fit_minmax(base))
     assert math.isfinite(prediction.best_global_similarity)
     assert (prediction.best_case_id, prediction.best_global_similarity) == oracle_best(expected)
-    assert [m.score for m in prediction.ranked] == expected
+    assert [m.score for m in ranked] == expected
     assert report.per_case[0].best_similarity == max(expected)
 
 
