@@ -104,6 +104,9 @@ def _parse_int(field: str, value: object) -> int:
         as_float = float(text)
     except ValueError:
         raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
+    if math.isinf(as_float) and text.lstrip("+-").replace("_", "").isdecimal():
+        # Integer text past int()'s digit limit: float() takes it, to inf.
+        raise CaseValidationError(f"{field}: integer outside the float range")
     if not math.isfinite(as_float) or not as_float.is_integer():
         raise CaseValidationError(f"{field}: non-integer value {value!r}")
     return int(as_float)

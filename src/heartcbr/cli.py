@@ -4,6 +4,10 @@ Every subcommand is deterministic given its flags and inputs, emits
 machine-readable files (JSON reports, CSV tables) into --out-dir, and exits
 0 only on success. Each is built from the step helpers below, and ``run-all``
 runs the steps of split, evaluate, stats and correlate on one parse.
+
+``predict`` fits the scaling from ``case_base.csv`` on every run and never
+reads ``normalization.json``, the export that ``split`` and ``--retain`` write.
+``--retain`` replaces each file whole: a temporary sibling, then ``os.replace``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
+import stat
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from . import analytics, baselines, reports
@@ -24,10 +31,7 @@ from .dataset import (
     write_cases,
 )
 from .engine import SimilarityConfig, evaluate, predict, retain
-from .scaling import fit_minmax, normalize, read_params, write_params
-
-logger = logging.getLogger(__name__)
-
+from .scaling import fit_minmax, normalize, write_params
 
 class CliError(Exception):
     """Pipeline failure carrying the stage name."""
@@ -236,32 +240,35 @@ def _build_query(args):
     return case
 
 
+def _replace(write, value, path: Path) -> None:
+    """``write(value, sibling)`` into a temporary sibling of ``path``, then move it over ``path``."""
+    sibling = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(value, sibling)
+        # Keep the replaced file's mode, so a private case base stays private.
+        with suppress(FileNotFoundError):
+            sibling.chmod(stat.S_IMODE(path.stat().st_mode))
+        os.replace(sibling, path)
+    except BaseException:
+        sibling.unlink(missing_ok=True)
+        raise
+
+
 def cmd_predict(args) -> int:
     case_base_path = Path(args.case_base)
     if not case_base_path.exists():
         raise CliError(f"predict: case base not found: {case_base_path}")
     case_base = _stage("load", read_case_base, case_base_path)
-
-    sidecar = Path(args.normalization) if args.normalization else case_base_path.parent / "normalization.json"
-    if sidecar.exists():
-        params = _stage("load", read_params, sidecar)
-    else:
-        params = _stage("fit", fit_minmax, case_base)
-        _stage("write", write_params, params, sidecar)
-
+    params = _stage("fit", fit_minmax, case_base)
     query = _build_query(args)
     prediction = _stage("predict", predict, query, case_base, args.config, params)
 
-    retained = False
     if args.retain:
-        case_base, params = _stage(
-            "retain", retain, query, prediction.predicted_target, case_base
-        )
-        _stage("write", write_case_base, case_base, case_base_path)
-        _stage("write", write_params, params, sidecar)
-        retained = True
+        case_base, params = _stage("retain", retain, query, prediction.predicted_target, case_base)
+        _stage("write", _replace, write_case_base, case_base, case_base_path)
+        _stage("write", _replace, write_params, params, case_base_path.parent / "normalization.json")
 
-    payload = reports.prediction_to_dict(prediction, retained, len(case_base))
+    payload = reports.prediction_to_dict(prediction, args.retain, len(case_base))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -335,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", parents=[common, weighted], help="predict one query against a case base")
     p.add_argument("--case-base", required=True, help="persisted case-base CSV")
-    p.add_argument("--normalization", default=None, help="normalization sidecar (default: sibling normalization.json)")
     p.add_argument("--query", default=None, help="single-row query CSV")
     p.add_argument("--retain", action="store_true", help="append the solved query to the case base")
     for name in FEATURE_NAMES:

@@ -8,13 +8,13 @@ import json
 import logging
 import math
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -261,19 +261,6 @@ class SplitResult:
     test: tuple[Case, ...]
 
 
-def _open_source(source) -> tuple[IO[str], bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8")), False
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data), False
-    raise TypeError(f"unsupported source type {type(source)!r}")
-
-
 def _resolve_header(raw_header: list[str], *, allow_case_id: bool) -> dict[str, int]:
     """Map canonical column names to positions, applying aliases."""
     positions: dict[str, int] = {}
@@ -296,12 +283,18 @@ def _resolve_header(raw_header: list[str], *, allow_case_id: bool) -> dict[str, 
 def _records(source, *, allow_case_id: bool) -> Iterator:
     """Yield the header's column positions, then ``(line number, fields by name)``.
 
+    ``source`` is a path, opened as UTF-8, or an open text stream, left open.
     Blank rows are skipped; a row of another width than the header raises
     :class:`DatasetError` citing its 1-based file line. Close the generator
     (``contextlib.closing``) to release a file opened here.
     """
-    stream, should_close = _open_source(source)
-    try:
+    if isinstance(source, (str, Path)):
+        opened = open(source, "r", encoding="utf-8", newline="")
+    elif isinstance(source, io.TextIOBase):
+        opened = nullcontext(source)
+    else:
+        raise TypeError(f"unsupported source type {type(source)!r}")
+    with opened as stream:
         reader = csv.reader(stream)
         try:
             raw_header = next(reader)
@@ -322,9 +315,6 @@ def _records(source, *, allow_case_id: bool) -> Iterator:
                     f"line {line_no}: expected {width} fields, found {len(row)}"
                 )
             yield line_no, dict(zip(names, cells(row)))
-    finally:
-        if should_close:
-            stream.close()
 
 
 def parse_csv(source, mode: str = "lenient") -> list[Case]:

@@ -128,14 +128,26 @@ def test_int_oldpeak_past_the_float_range_rejected():
         ("target", 10**5000, "lenient"),
         ("age", -(10**400), "strict"),
         ("age", "1" + "0" * 400, "lenient"),
+        ("age", "1" * 5000, "lenient"),  # past int()'s 4,300-digit limit
+        ("thal", "-" + "9" * 5000, "lenient"),
         ("chol", 2**1024 - 2**970, "lenient"),  # rounds up to 2**1024
     ],
-    ids=["sex-strict", "ca", "oldpeak", "target", "negative-age", "age-text", "chol-rounds-up"],
+    ids=[
+        "sex-strict", "ca", "oldpeak", "target", "negative-age", "age-text",
+        "age-text-past-digit-limit", "negative-thal-text-past-digit-limit", "chol-rounds-up",
+    ],
 )
 def test_integer_past_the_float_range_rejected_without_its_digits(field, value, mode):
     with pytest.raises(CaseValidationError) as exc:
         validate_case(make_raw(**{field: value}), mode)
     assert str(exc.value) == f"{field}: integer outside the float range"
+
+
+@pytest.mark.parametrize("text", ["1e400", "inf", "-inf", "1.5"])
+def test_non_integer_text_keeps_its_message(text):
+    with pytest.raises(CaseValidationError) as exc:
+        validate_case(make_raw(age=text))
+    assert str(exc.value) == f"age: non-integer value {text!r}"
 
 
 def test_largest_integer_below_the_float_overflow_accepted():
@@ -218,7 +230,8 @@ def test_domains_match_schema():
 # what this accepts, with the same values and types; every warning and every
 # error must come out word for word as here. Where the per-field rules change
 # on purpose, this copy changes with them: an integer that float() cannot
-# convert is rejected without its digits, in every field and the target.
+# convert is rejected without its digits, in every field and the target, and
+# so is integer text past int()'s 4,300-digit limit.
 
 
 def _oracle_within_float_range(field, value):
@@ -249,6 +262,8 @@ def _oracle_parse_int(field, value):
         as_float = float(text)
     except ValueError:
         raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
+    if math.isinf(as_float) and text.lstrip("+-").replace("_", "").isdecimal():
+        raise CaseValidationError(f"{field}: integer outside the float range")
     if not math.isfinite(as_float) or not as_float.is_integer():
         raise CaseValidationError(f"{field}: non-integer value {value!r}")
     return int(as_float)
@@ -392,6 +407,7 @@ def _outcome(validate, raw, mode):
 @example(raw=make_raw(age=10**308, chol=str(10**308)))  # each converts; their sum overflows
 @example(raw=make_raw(chol=10**400))
 @example(raw=make_raw(thalach=str(-(10**400))))
+@example(raw=make_raw(age="1" * 5000))
 @example(raw=make_raw(age=2**53 + 1, chol=str(10**20)))
 @example(raw=make_raw(sex=True))
 @example(raw=make_raw(age="٥٤", chol="2_50", trestbps=" 130\xa0", target=" 1 "))

@@ -2,14 +2,18 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from heartcbr import dataset
 from heartcbr.baselines import evaluate_mlp, init_mlp
 from heartcbr.cases import FEATURE_NAMES, to_feature_vector
 from heartcbr.cli import main
 from heartcbr.dataset import CaseBase, parse_csv, read_case_base, split_sequential, write_case_base, write_cases
-from heartcbr.scaling import fit_minmax, normalize, write_params
+from heartcbr.engine import SimilarityConfig, predict
+from heartcbr.reports import prediction_to_dict
+from heartcbr.scaling import fit_minmax, normalize, read_params, write_params
 from heartcbr.synthetic import write_synthetic_dataset
 
 from conftest import make_case, subprocess_env
@@ -228,15 +232,91 @@ def test_predict_incomplete_query_flags(split_dir, capsys):
     assert "missing query fields" in capsys.readouterr().err
 
 
-def test_predict_rejects_hand_edited_sidecar(split_dir, capsys):
-    sidecar = split_dir / "normalization.json"
-    payload = read_json(sidecar)
-    payload["chol"]["max"] = float("inf")
-    sidecar.write_text(json.dumps(payload), encoding="utf-8")
+def test_predict_fits_the_scaling_from_the_case_base_not_a_stale_sidecar(tmp_path, capsys):
+    # The crash window of a two-file retain: case_base.csv holds a retained
+    # chol=900 query, normalization.json is left from before it.
+    data = write_synthetic_dataset(tmp_path / "data.csv", 200, seed=3)
+    split_dir = tmp_path / "split"
+    assert main(["split", "--input", str(data), "--out-dir", str(split_dir)]) == 0
+    base_path, sidecar = split_dir / "case_base.csv", split_dir / "normalization.json"
+    before_retain = sidecar.read_bytes()
+    first, *queries = parse_csv(split_dir / "test.csv")
+    widened = query_flags(first)
+    widened[widened.index("--chol") + 1] = "900"
+    assert main(["predict", "--case-base", str(base_path), "--retain", *widened]) == 0
+    sidecar.write_bytes(before_retain)
+    capsys.readouterr()
+
+    base = read_case_base(base_path)
+    params, stale = fit_minmax(base), read_params(sidecar)
+    assert params.maxs[FEATURE_NAMES.index("chol")] == 900 > stale.maxs[FEATURE_NAMES.index("chol")]
+    config = SimilarityConfig()
+    stale_answers = 0
+    for query in queries:
+        assert main(["predict", "--case-base", str(base_path), *query_flags(query)]) == 0
+        wanted = predict(query, base, config, params)
+        assert json.loads(capsys.readouterr().out) == prediction_to_dict(wanted, False, len(base))
+        stale_answers += predict(query, base, config, stale) != wanted
+    assert stale_answers > 0  # the stale sidecar would have changed some answers
+    assert sidecar.read_bytes() == before_retain
+
+
+def test_plain_predict_writes_no_file(split_dir, capsys):
+    (split_dir / "normalization.json").unlink()
+    before = {path.name: path.read_bytes() for path in split_dir.iterdir()}
     stored = parse_csv(split_dir / "train.csv")[0]
-    rc = main(["predict", "--case-base", str(split_dir / "case_base.csv"), *query_flags(stored)])
+    assert main(["predict", "--case-base", str(split_dir / "case_base.csv"), *query_flags(stored)]) == 0
+    assert {path.name: path.read_bytes() for path in split_dir.iterdir()} == before
+
+
+def test_predict_normalization_flag_is_usage_error(split_dir):
+    stored = parse_csv(split_dir / "train.csv")[0]
+    args = ["predict", "--case-base", str(split_dir / "case_base.csv"), *query_flags(stored)]
+    assert main([*args, "--normalization", str(split_dir / "normalization.json")]) == 2
+
+
+def test_predict_retain_keeps_the_mode_of_the_files_it_replaces(split_dir, capsys):
+    base_path, sidecar = split_dir / "case_base.csv", split_dir / "normalization.json"
+    base_path.chmod(0o600)
+    sidecar.chmod(0o640)
+    stored = parse_csv(split_dir / "train.csv")[3]
+    assert main(["predict", "--case-base", str(base_path), "--retain", *query_flags(stored)]) == 0
+    assert (base_path.stat().st_mode & 0o777, sidecar.stat().st_mode & 0o777) == (0o600, 0o640)
+
+
+def test_predict_retain_failing_inside_the_case_base_write_leaves_both_files(split_dir, monkeypatch, capsys):
+    case_fields, rows = dataset._case_fields, []
+
+    def failing_at_row_10_of_73(case):
+        rows.append(case)
+        if len(rows) == 10:
+            raise OSError("No space left on device")
+        return case_fields(case)
+
+    monkeypatch.setattr("heartcbr.dataset._case_fields", failing_at_row_10_of_73)
+    before = {path.name: path.read_bytes() for path in split_dir.iterdir()}
+    stored = parse_csv(split_dir / "train.csv")[3]
+    rc = main(["predict", "--case-base", str(split_dir / "case_base.csv"), "--retain", *query_flags(stored)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: load:")
+    assert capsys.readouterr().err == "error: write: No space left on device\n"
+    assert {path.name: path.read_bytes() for path in split_dir.iterdir()} == before
+
+
+def test_predict_retain_failing_inside_the_sidecar_write_keeps_the_new_base(split_dir, monkeypatch, capsys):
+    def half_written(path, payload):
+        Path(path).write_text(json.dumps(payload)[:100], encoding="utf-8")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr("heartcbr.scaling._write_json", half_written)
+    base_path, sidecar = split_dir / "case_base.csv", split_dir / "normalization.json"
+    names, old_sidecar = sorted(path.name for path in split_dir.iterdir()), sidecar.read_bytes()
+    stored = parse_csv(split_dir / "train.csv")[3]
+    rc = main(["predict", "--case-base", str(base_path), "--retain", *query_flags(stored)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: write: No space left on device\n"
+    assert sorted(path.name for path in split_dir.iterdir()) == names
+    assert sidecar.read_bytes() == old_sidecar
+    assert len(read_case_base(base_path)) == 73
 
 
 def test_predict_invalid_field_value(split_dir, capsys):

@@ -31,10 +31,28 @@ def test_parse_two_line_file():
     assert cases[0].target == 1
 
 
+def test_parse_reads_a_text_stream_where_it_stands_and_leaves_it_open():
+    stream = io.StringIO(f"preamble\n{HEADER}\n{ROW}\n")
+    stream.readline()
+    assert len(parse_csv(stream)) == 1
+    assert not stream.closed
+
+
+@pytest.mark.parametrize(
+    "source", [HEADER.encode(), io.BytesIO(HEADER.encode())], ids=["bytes", "binary-stream"]
+)
+def test_parse_rejects_bytes_sources(source):
+    with pytest.raises(TypeError, match="^unsupported source type"):
+        parse_csv(source)
+
+
 def test_integer_past_the_float_range_rejected_citing_its_line():
     huge = ROW.replace("54", "1" + "0" * 400, 1)
     with pytest.raises(DatasetError, match=r"^line 3: age: integer outside the float range$"):
         parse_csv(io.StringIO(f"{HEADER}\n{ROW}\n{huge}\n"))
+    past_the_digit_limit = ROW.replace("54", "1" * 5000, 1)  # int() takes at most 4,300 digits
+    with pytest.raises(DatasetError, match=r"^line 2: age: integer outside the float range$"):
+        parse_csv(io.StringIO(f"{HEADER}\n{past_the_digit_limit}\n"))
 
 
 def test_parse_error_cites_line_number():
