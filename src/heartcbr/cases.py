@@ -75,6 +75,12 @@ class Case:
 FeatureVector = tuple[float, ...]
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message: its first 40 characters, then ``...`` if cut."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _within_float_range(field: str, value: int) -> int:
     """``value``, if float() can convert it; the message of a rejected one shows none of its digits."""
     try:
@@ -86,12 +92,12 @@ def _within_float_range(field: str, value: int) -> int:
 
 def _parse_int(field: str, value: object) -> int:
     if isinstance(value, bool):
-        raise CaseValidationError(f"{field}: non-integer value {value!r}")
+        raise CaseValidationError(f"{field}: non-integer value {_shown(value)}")
     if isinstance(value, int):
         return _within_float_range(field, value)
     if isinstance(value, float):
         if not math.isfinite(value) or not value.is_integer():
-            raise CaseValidationError(f"{field}: non-integer value {value!r}")
+            raise CaseValidationError(f"{field}: non-integer value {_shown(value)}")
         return int(value)
     text = str(value).strip()
     try:
@@ -103,26 +109,26 @@ def _parse_int(field: str, value: object) -> int:
     try:
         as_float = float(text)
     except ValueError:
-        raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
+        raise CaseValidationError(f"{field}: non-numeric value {_shown(value)}") from None
     if math.isinf(as_float) and text.lstrip("+-").replace("_", "").isdecimal():
         # Integer text past int()'s digit limit: float() takes it, to inf.
         raise CaseValidationError(f"{field}: integer outside the float range")
     if not math.isfinite(as_float) or not as_float.is_integer():
-        raise CaseValidationError(f"{field}: non-integer value {value!r}")
+        raise CaseValidationError(f"{field}: non-integer value {_shown(value)}")
     return int(as_float)
 
 
 def _parse_float(field: str, value: object) -> float:
     if isinstance(value, bool):
-        raise CaseValidationError(f"{field}: non-numeric value {value!r}")
+        raise CaseValidationError(f"{field}: non-numeric value {_shown(value)}")
     try:
         result = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        raise CaseValidationError(f"{field}: non-numeric value {value!r}") from None
+        raise CaseValidationError(f"{field}: non-numeric value {_shown(value)}") from None
     except OverflowError:
         raise CaseValidationError(f"{field}: integer outside the float range") from None
     if not math.isfinite(result):
-        raise CaseValidationError(f"{field}: non-finite value {value!r}")
+        raise CaseValidationError(f"{field}: non-finite value {_shown(value)}")
     return result
 
 
@@ -224,14 +230,14 @@ def validate_case(raw, mode: str = "lenient") -> tuple[Case, list[str]]:
             values[name] = _parse_int(name, raw[name])
 
     if values["oldpeak"] < 0:
-        raise CaseValidationError(f"oldpeak: negative value {values['oldpeak']!r}")
+        raise CaseValidationError(f"oldpeak: negative value {_shown(values['oldpeak'])}")
 
     warnings: list[str] = []
     for name, domain in CATEGORICAL_DOMAINS.items():
         code = values[name]
         if code in domain:
             continue
-        message = f"{name}: value {code} outside documented domain {sorted(domain)}"
+        message = f"{name}: value {_shown(code)} outside documented domain {sorted(domain)}"
         if mode == "lenient" and name in LENIENT_FIELDS:
             warnings.append(message)
         else:
@@ -244,18 +250,10 @@ def validate_case(raw, mode: str = "lenient") -> tuple[Case, list[str]]:
         target = _parse_int(TARGET_NAME, raw_target)
         if target not in TARGET_DOMAIN:
             raise CaseValidationError(
-                f"target: value {target} outside domain {sorted(TARGET_DOMAIN)}"
+                f"target: value {_shown(target)} outside domain {sorted(TARGET_DOMAIN)}"
             )
 
     return Case(**values, target=target), warnings  # type: ignore[arg-type]
-
-
-def case_to_mapping(case: Case) -> dict[str, int | float]:
-    """Field name to value mapping, including target only when present."""
-    mapping: dict[str, int | float] = {name: getattr(case, name) for name in FEATURE_NAMES}
-    if case.target is not None:
-        mapping[TARGET_NAME] = case.target
-    return mapping
 
 
 _feature_values = attrgetter(*FEATURE_NAMES)

@@ -67,13 +67,14 @@ class CaseBase:
     Retrieval reads :meth:`arrays` (raw features, ids, targets),
     :meth:`distinct` (the distinct raw feature rows) and :meth:`extrema`
     (column minima and maxima). The constructor builds them all in one
-    batch; :meth:`add` then writes each new case into a spare row, widens
-    the extrema, looks the row up in the distinct index (one dict lookup)
-    and replaces the read-only views, so a reader keeps views that agree
-    with each other. The ids array is the only copy of the ids; the cases
-    are kept too, as they hold integers past 2**53 exactly.
-    :meth:`derived_rows` keeps one transform of the distinct rows (the
-    engine's scaled rows) up to date, attribute-major.
+    batch, with no spare row. :meth:`add` alone makes room: when the arrays
+    are full it doubles them (to at least 64 rows). It writes each new case
+    into a spare row, widens the extrema, looks the row up in the distinct
+    index (one dict lookup) and replaces the read-only views, so a reader
+    keeps views that agree with each other. The ids array is the only copy
+    of the ids; the cases are kept too, as they hold integers past 2**53
+    exactly. :meth:`derived_rows` keeps one transform of the distinct rows
+    (the engine's scaled rows) up to date, attribute-major.
     """
 
     def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
@@ -91,11 +92,9 @@ class CaseBase:
         # Column (minima, maxima) of the rows in use.
         self._lo = features.min(axis=0, initial=np.inf)
         self._hi = features.max(axis=0, initial=-np.inf)
-        capacity = max(2 * len(features), 64)
         targets = [case.target for case in self._cases]
         built = (features, np.array(ids, dtype=np.int64), np.array(targets, dtype=np.int64))
-        first_and_columns = tuple(np.empty((2, capacity), dtype=np.int64))
-        self._set_arrays(tuple(_grown(column, capacity) for column in built) + first_and_columns)
+        self._set_arrays(built + tuple(np.empty((2, len(features)), dtype=np.int64)))
         # Bytes of a raw feature row -> its distinct row, numbered in order of
         # first occurrence. Bytes keys take about a third of the memory of
         # float tuples, and the collector never scans them.
@@ -204,7 +203,7 @@ class CaseBase:
         if case_id == 2**63:
             raise DatasetError(f"no case id left: the last id is {case_id - 1}, the largest below 2**63")
         if row == len(self._arrays[0]):
-            self._set_arrays(tuple(_grown(array, 2 * row) for array in self._arrays))
+            self._set_arrays(tuple(_grown(array, max(2 * row, 64)) for array in self._arrays))
         features, ids, targets, _, _ = self._arrays
         features[row] = to_feature_vector(case)
         ids[row] = case_id

@@ -47,14 +47,14 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .analytics import CaseResult, ConfusionCounts, EvaluationReport
-from .cases import N_FEATURES, Case, CaseValidationError, case_to_mapping, validate_case
+from .cases import N_FEATURES, Case, CaseValidationError
 from .dataset import CaseBase, feature_matrix
 from .scaling import NormalizationParams, fit_minmax
 
@@ -291,17 +291,18 @@ def retain(
 ) -> tuple[CaseBase, NormalizationParams]:
     """Append the solved raw query to the case base and refit the scaling.
 
-    The query is stored un-normalized under a fresh id. The case base widens
-    its extrema with the new row, so the refit costs the same at any size
-    and gives what fitting the enlarged base from scratch gives. Requires
-    exclusive access to the case base (single writer).
+    The query is stored un-normalized under a fresh id, its 13 fields as
+    given and ``solved_target`` in place of its own target. Only the target
+    is checked here: a :class:`Case` was validated where it entered the
+    program (``parse_csv``, ``read_case_base`` or the CLI query). The case
+    base widens its extrema with the new row, so the refit costs the same at
+    any size and gives what fitting the enlarged base from scratch gives.
+    Requires exclusive access to the case base (single writer).
     """
-    if solved_target not in (0, 1):
+    # A bool is not an integer target, as in validate_case; 1.0 is stored as 1.
+    if isinstance(solved_target, bool) or solved_target not in (0, 1):
         raise CaseValidationError(f"solved target must be 0 or 1, got {solved_target!r}")
-    mapping = case_to_mapping(query)
-    mapping["target"] = solved_target
-    stored, _ = validate_case(mapping, "lenient")
-    case_id = case_base.add(stored)
+    case_id = case_base.add(replace(query, target=int(solved_target)))
     params = fit_minmax(case_base)
     logger.debug("retain: stored case %d with target %d", case_id, solved_target)
     return case_base, params

@@ -343,7 +343,8 @@ def test_case_base_arrays_mirror_the_cases_and_grow_in_place():
     features, ids, targets = base.arrays()
     assert features.dtype == np.float64 and features.shape == (2, 13)
     before = features
-    # More cases than the initial spare rows, so the matrix grows too.
+    # The constructor leaves no spare row, so the first add grows the matrix
+    # (to 64 rows) and the 63rd grows it again.
     for k in range(100):
         base.add(make_case(chol=300 + k, target=k % 2))
     features, ids, targets = base.arrays()
@@ -351,6 +352,15 @@ def test_case_base_arrays_mirror_the_cases_and_grow_in_place():
     assert ids.tolist() == base.ids()
     assert targets.tolist() == [c.target for c in base.cases()]
     assert before.shape == (2, 13)  # views taken earlier keep their rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 150])
+def test_a_base_never_added_to_holds_exactly_its_rows(n):
+    base = CaseBase.from_cases([make_case(chol=100 + k % 90) for k in range(n)])
+    features, ids, targets = base.arrays()
+    first, columns = base.distinct()
+    assert [view.base.size for view in (features, ids, targets)] == [13 * n, n, n]
+    assert first.base.shape == columns.base.shape == (2, n)
 
 
 def test_case_base_arrays_are_read_only():
@@ -380,7 +390,8 @@ def test_derived_rows_transform_only_new_rows_while_the_key_stays_equal():
     base = CaseBase.from_cases([make_case(chol=100 + k) for k in range(3)])
     first = base.derived_rows(("scale", 2), doubled)
     assert first.tolist() == (2 * base.arrays()[0]).tolist()
-    # 70 adds cross the 64-row capacity; an equal key transforms the new rows alone.
+    # 70 adds grow the arrays to 64, then 128 rows; an equal key transforms the
+    # new rows alone.
     for k in range(70):
         base.add(make_case(chol=200 + k))
     rows = base.derived_rows(("scale", 2), doubled)
@@ -404,16 +415,18 @@ def test_derived_rows_transform_only_new_rows_while_the_key_stays_equal():
         rows[0, 0] = 0.0
 
 
-def test_a_base_built_in_one_batch_equals_one_grown_by_add():
+@pytest.mark.parametrize("start", [0, 1, 10])
+def test_a_base_built_in_one_batch_equals_one_grown_by_add(start):
     # The constructor and add number the same rows alike. The rows include
     # copies stored under the other target and rows that differ only in the
-    # sign of a zero, which have equal scores but are distinct.
+    # sign of a zero, which have equal scores but are distinct. An empty base
+    # has no rows to double, so its first add takes the 64-row floor.
     cases = [make_case(chol=100 + k % 7, target=k % 2) for k in range(150)]
     cases += [make_case(oldpeak=0.0), make_case(oldpeak=-0.0), make_case(oldpeak=-0.0, target=0)]
     cases += [make_case(chol=300 + k, oldpeak=-0.0 if k % 3 else 0.0) for k in range(50)]
     base = CaseBase.from_cases(cases)
-    grown = CaseBase.from_cases(cases[:10])
-    for case in cases[10:]:
+    grown = CaseBase.from_cases(cases[:start])
+    for case in cases[start:]:
         grown.add(case)
 
     def state(case_base):

@@ -263,8 +263,9 @@ def test_retrieve_ranks_every_stored_case():
 
 
 def test_retrieve_after_retains_equals_retrieve_on_a_base_built_at_once():
-    # 40 stored cases give 80 rows of capacity; 45 retains cross that doubling,
-    # and two of them widen the chol extrema at both ends.
+    # 40 stored cases leave no spare row: the first retain grows the arrays to
+    # 80 rows and the 41st to 160, and two retains widen the chol extrema at
+    # both ends.
     base = CaseBase.from_cases(
         [make_case(age=30 + k, chol=200 + 3 * k, target=k % 2) for k in range(40)]
     )
@@ -428,15 +429,31 @@ def test_retain_rejects_bad_target():
         retain(make_case(), 2, base)
 
 
-def test_retain_rejects_invalid_query():
+def test_retain_stores_the_query_as_given_with_the_solved_target():
+    # A query is validated where it enters the program; retain checks only
+    # the target and stores the 13 fields as they are.
     base, _ = toy_base()
-    broken = Case(
-        age=50, sex=1, cp=0, trestbps=120, chol=200, fbs=0, restecg=0,
-        thalach=160, exang=0, oldpeak=-1.0, slope=1, ca=0, thal=2,
-    )
+    queries = [
+        make_case(age=2**53 + 1, ca=4, oldpeak=2.5, target=None),
+        make_case(chol=555, thal=0, target=1),
+        make_case(trestbps=99, oldpeak=0.0, target=0),
+    ]
+    for query in queries:
+        base, _ = retain(query, 0, base)
+    stored = base.cases()[-3:]
+    for case, query in zip(stored, queries):
+        assert vars(case) == {**vars(query), "target": 0}
+        assert all(getattr(case, name) is getattr(query, name) for name in FEATURE_NAMES)
+    assert base.ids()[-3:] == [4, 5, 6]
+
+
+def test_retain_stores_an_integral_target_as_an_int_and_rejects_a_bool():
+    base, _ = toy_base()
+    base, _ = retain(make_case(), 1.0, base)
+    assert type(base.cases()[-1].target) is int
     with pytest.raises(CaseValidationError):
-        retain(broken, 1, base)
-    assert len(base) == 4
+        retain(make_case(), True, base)
+    assert len(base) == 5
 
 
 # --- evaluate -----------------------------------------------------------------
