@@ -13,7 +13,6 @@ reads ``normalization.json``, the export that ``split`` and ``--retain`` write.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import stat
@@ -24,6 +23,7 @@ from pathlib import Path
 from . import analytics, baselines, reports
 from .cases import FEATURE_NAMES, N_FEATURES, to_feature_vector, validate_case
 from .dataset import (
+    _json_text,
     parse_csv,
     read_case_base,
     split_sequential,
@@ -269,7 +269,7 @@ def cmd_predict(args) -> int:
         _stage("write", _replace, write_params, params, case_base_path.parent / "normalization.json")
 
     payload = reports.prediction_to_dict(prediction, args.retain, len(case_base))
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
     return 0
 
 

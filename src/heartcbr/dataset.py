@@ -11,8 +11,8 @@ from collections import Counter
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, starmap
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -372,16 +372,19 @@ def split_sequential(cases: list[Case], train_fraction=Fraction(3, 5)) -> SplitR
     return SplitResult(train=train, test=tuple(cases[n_train:]))
 
 
-def _format_value(name: str, value) -> str:
-    if name == "oldpeak":
-        return repr(float(value))
-    return str(int(value))
+_case_values = attrgetter(*FEATURE_NAMES, TARGET_NAME)
+# The 13 attribute fields of a row, formatted in one C-level pass: %d prints
+# a number as str(int(v)) does, and %r prints oldpeak, which validate_case
+# makes a float, as repr(float(v)) does. Neither prints a comma.
+_ATTRIBUTE_FIELDS = ",".join("%r" if name == "oldpeak" else "%d" for name in FEATURE_NAMES)
 
 
 def _case_fields(case: Case) -> list[str]:
     """The canonical-header fields of ``case``; an absent target is left empty."""
-    row = [_format_value(name, getattr(case, name)) for name in FEATURE_NAMES]
-    row.append("" if case.target is None else str(case.target))
+    values = _case_values(case)
+    row = (_ATTRIBUTE_FIELDS % values[:N_FEATURES]).split(",")
+    target = values[N_FEATURES]
+    row.append("" if target is None else str(target))
     return row
 
 
@@ -398,9 +401,78 @@ def _write_rows(sink, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             stream.close()
 
 
+# Exact types that a record template prints with repr(), which is what
+# json.dumps prints for their finite values; bool and other subclasses are not here.
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def _record_texts(records, indent: str) -> list[str] | None:
+    """The JSON text of each record, or None unless all share one template.
+
+    They do when ``records`` are dicts (exactly) with one set of str keys and
+    only plain, finite int and float values. Each record is then rendered
+    through one ``str.format`` template, its closing brace at ``indent``.
+    """
+    first = records[0]
+    if not (set(map(type, records)) == {dict} and first and set(map(type, first)) == {str}):
+        return None
+    keys = sorted(first)
+    # Records as long as the first that hold each of its keys have its key set.
+    if set(map(len, records)) != {len(keys)}:
+        return None
+    try:
+        rows = list(zip(*[map(itemgetter(key), records) for key in keys]))
+    except KeyError:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not _PLAIN_NUMBERS.issuperset(map(type, flat)):
+        return None
+    try:
+        # fsum is finite only if every value is: nan and inf survive the sum.
+        if not math.isfinite(math.fsum(flat)):
+            return None
+    except (OverflowError, ValueError):
+        return None
+    inner = indent + "  "
+    fields = ",\n".join(inner + json.dumps(key).replace("{", "{{").replace("}", "}}") + ": {!r}" for key in keys)
+    return list(starmap(f"{{{{\n{fields}\n{indent}}}}}".format, rows))
+
+
+def _json_key(key) -> str:
+    """A dict key as JSON text, under the rules of ``json.dumps``."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, nested lines prefixed by ``indent``.
+
+    Lists of records go through :func:`_record_texts` when they can, every
+    other container through this recursion, and scalars through ``json.dumps``.
+    A value that ``json.dumps`` rejects is rejected too; a circular one ends
+    in RecursionError rather than ValueError.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = _record_texts(value, inner) or [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_json_key(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(value)
+
+
 def _write_json(path, payload) -> None:
     """Write ``payload`` as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def _read_json(path):

@@ -13,7 +13,8 @@ import random
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import CANONICAL_HEADER, _format_value, _write_rows
+from .cases import Case
+from .dataset import CANONICAL_HEADER, write_cases
 
 HEADER: tuple[str, ...] = CANONICAL_HEADER
 
@@ -82,7 +83,7 @@ def generate_rows(
 
 
 def write_csv(path, rows: Sequence[dict[str, int | float]]) -> None:
-    _write_rows(path, HEADER, ([_format_value(k, row[k]) for k in HEADER] for row in rows))
+    write_cases((Case(**row) for row in rows), path)
 
 
 def write_synthetic_dataset(path, n: int, seed: int = 0, **kwargs) -> Path:

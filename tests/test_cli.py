@@ -11,7 +11,7 @@ from heartcbr.baselines import evaluate_mlp, init_mlp
 from heartcbr.cases import FEATURE_NAMES, to_feature_vector
 from heartcbr.cli import main
 from heartcbr.dataset import CaseBase, parse_csv, read_case_base, split_sequential, write_case_base, write_cases
-from heartcbr.engine import SimilarityConfig, predict
+from heartcbr.engine import SimilarityConfig, evaluate, predict
 from heartcbr.reports import prediction_to_dict
 from heartcbr.scaling import fit_minmax, normalize, read_params, write_params
 from heartcbr.synthetic import write_synthetic_dataset
@@ -259,6 +259,31 @@ def test_predict_fits_the_scaling_from_the_case_base_not_a_stale_sidecar(tmp_pat
         stale_answers += predict(query, base, config, stale) != wanted
     assert stale_answers > 0  # the stale sidecar would have changed some answers
     assert sidecar.read_bytes() == before_retain
+
+
+def test_chained_predict_retain_equals_the_incremental_evaluate(tmp_path, capsys):
+    data = write_synthetic_dataset(tmp_path / "data.csv", 100, seed=3)
+    split_dir, eval_dir = tmp_path / "split", tmp_path / "evaluate"
+    assert main(["split", "--input", str(data), "--out-dir", str(split_dir)]) == 0
+    assert main(["evaluate", "--input", str(data), "--incremental-retain", "--out-dir", str(eval_dir)]) == 0
+    per_case = read_json(eval_dir / "evaluation_report.json")["per_case"]
+    capsys.readouterr()
+
+    base_path, query_path = split_dir / "case_base.csv", tmp_path / "query.csv"
+    queries = parse_csv(split_dir / "test.csv")
+    assert len(queries) == len(per_case) == 40
+    for query, row in zip(queries, per_case):
+        write_cases([query], query_path)
+        assert main(["predict", "--case-base", str(base_path), "--query", str(query_path), "--retain"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert (printed["predicted_target"], printed["best_case_id"], printed["best_global_similarity"]) == (
+            row["predicted_target"], row["best_case_id"], row["best_similarity"]
+        )
+
+    split = split_sequential(parse_csv(data))
+    evaluate(split.test, split.train, SimilarityConfig(), fit_minmax(split.train), incremental_retain=True)
+    assert len(split.train) == 100
+    assert read_case_base(base_path) == split.train
 
 
 def test_plain_predict_writes_no_file(split_dir, capsys):

@@ -1,13 +1,16 @@
+import csv
 import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from heartcbr.cases import Case, to_feature_vector
+from heartcbr import dataset
+from heartcbr.cases import FEATURE_NAMES, Case, to_feature_vector, validate_case
 from heartcbr.dataset import (
+    CANONICAL_HEADER,
     CaseBase,
     DatasetError,
     DegenerateSplitError,
@@ -18,7 +21,7 @@ from heartcbr.dataset import (
     write_cases,
 )
 
-from conftest import cases_strategy, make_case
+from conftest import cases_strategy, in_domain_raw, make_case
 
 HEADER = "age,sex,cp,trestbps,chol,fbs,restecg,thalach,exang,oldpeak,slope,ca,thal,target"
 ROW = "54,1,0,130,250,0,1,150,0,1.0,1,0,2,1"
@@ -329,6 +332,57 @@ def test_ids_survive_round_trip_after_retention_gap(tmp_path):
     reloaded = read_case_base(path)
     assert reloaded.ids() == [2, 7]
     assert reloaded.add(make_case()) == 8
+
+
+def _oracle_format_value(name, value):
+    if name == "oldpeak":
+        return repr(float(value))
+    return str(int(value))
+
+
+def _oracle_case_fields(case):
+    """The per-field row builder that the case files were first written with."""
+    row = [_oracle_format_value(name, getattr(case, name)) for name in FEATURE_NAMES]
+    row.append("" if case.target is None else str(case.target))
+    return row
+
+
+# The widest integers validate_case accepts: float() must take them.
+WIDE_INTS = st.integers(-(2**1024 - 2**970 - 1), 2**1024 - 2**970 - 1) | st.sampled_from(
+    [2**53 + 1, -(2**63), 2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1)]
+)
+
+
+@st.composite
+def storable_cases(draw):
+    """Cases validate_case accepts in lenient mode, with values anywhere in their ranges."""
+    raw = draw(in_domain_raw(with_target=False))
+    for name in ("age", "trestbps", "chol", "thalach", "ca", "thal"):
+        if draw(st.booleans()):
+            raw[name] = draw(WIDE_INTS)
+    raw["oldpeak"] = draw(st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308]))
+    raw["target"] = draw(st.sampled_from([None, 0, 1]))
+    return validate_case(raw, "lenient")[0]
+
+
+def _oracle_csv(header, rows):
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    return text.getvalue()
+
+
+@settings(max_examples=300)
+@given(st.lists(storable_cases(), max_size=8))
+def test_case_rows_equal_the_per_field_oracle(cases):
+    assert [dataset._case_fields(case) for case in cases] == [_oracle_case_fields(case) for case in cases]
+    written = io.StringIO()
+    write_cases(cases, written)
+    assert written.getvalue() == _oracle_csv(CANONICAL_HEADER, map(_oracle_case_fields, cases))
+    stored = [case for case in cases if case.target is not None]
+    written = io.StringIO()
+    write_case_base(CaseBase.from_cases(stored), written)
+    rows = ([str(i), *_oracle_case_fields(case)] for i, case in enumerate(stored))
+    assert written.getvalue() == _oracle_csv(("case_id", *CANONICAL_HEADER), rows)
 
 
 def test_write_cases_reparses(tmp_path):
