@@ -12,6 +12,19 @@ sit side by side:
 
     PYTHONPATH=src python3 scripts/bench_scale.py --label change
     PYTHONPATH=src python3 scripts/bench_scale.py --sizes 1025 --incremental-sizes --repeats 1
+
+A label that is already in the file gains the new runs: each size and mode
+keeps its fastest run over all calls (``repeats`` counts them), and its
+digests must not change. To compare two checkouts, interleave them round by
+round, one ``--repeats 1`` call per checkout per round, for at least three
+rounds. The host's speed drifts over minutes, so running one checkout's
+repeats and then the other's reads that drift as a difference between them.
+The script times whichever ``heartcbr`` PYTHONPATH points at:
+
+    for round in 1 2 3; do
+        PYTHONPATH=../parent/src python3 scripts/bench_scale.py --label before --repeats 1
+        PYTHONPATH=src python3 scripts/bench_scale.py --label after --repeats 1
+    done
 """
 
 import argparse
@@ -77,7 +90,7 @@ def measure(rows: int, incremental: bool, repeats: int, scratch: Path) -> dict:
     runs = [timed_run_all(csv_path, scratch / "out", incremental) for _ in range(repeats)]
     if any(run["digests"] != runs[0]["digests"] for run in runs):
         raise SystemExit(f"{rows} rows: report digests differ between repeats")
-    fastest = min(runs, key=lambda run: run["run_all_s"])
+    fastest = dict(min(runs, key=lambda run: run["run_all_s"]), repeats=repeats)
     # The initial case base of run-all (default train fraction), numbered as the kernel does.
     train = split_sequential(parse_csv(csv_path)).train
     distinct_ratio = round(len(train.distinct()[0]) / len(train), 4)
@@ -105,6 +118,17 @@ def main() -> int:
 
     out = Path(args.out)
     results = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    new = {(run["rows"], run["mode"]): run for run in runs}
+    runs = []
+    for kept in results.get(args.label, {}).get("runs", []):
+        run = new.pop((kept["rows"], kept["mode"]), None)
+        if run is not None:
+            if kept["digests"] != run["digests"]:
+                raise SystemExit(f"{run['rows']} rows {run['mode']}: digests differ from the earlier calls")
+            faster = min(kept, run, key=lambda r: r["run_all_s"])
+            kept = dict(faster, repeats=kept.get("repeats", 0) + run["repeats"])
+        runs.append(kept)
+    runs += new.values()  # configurations no earlier call ran
     results[args.label] = {
         "machine": {
             "python": platform.python_version(),
@@ -113,7 +137,6 @@ def main() -> int:
             "cpus": os.cpu_count(),
         },
         "seed": SEED,
-        "repeats": args.repeats,
         "runs": runs,
     }
     out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")

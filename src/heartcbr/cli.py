@@ -8,11 +8,14 @@ runs the steps of split, evaluate, stats and correlate on one parse.
 ``predict`` fits the scaling from ``case_base.csv`` on every run and never
 reads ``normalization.json``, the export that ``split`` and ``--retain`` write.
 ``--retain`` replaces each file whole: a temporary sibling, then ``os.replace``.
+It locks the directory (``flock``, no lock file) from the read to the last
+replace, so concurrent retains queue up; a plain ``predict`` locks it shared.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import logging
 import os
 import stat
@@ -258,15 +261,20 @@ def cmd_predict(args) -> int:
     case_base_path = Path(args.case_base)
     if not case_base_path.exists():
         raise CliError(f"predict: case base not found: {case_base_path}")
-    case_base = _stage("load", read_case_base, case_base_path)
-    params = _stage("fit", fit_minmax, case_base)
-    query = _build_query(args)
-    prediction = _stage("predict", predict, query, case_base, args.config, params)
+    lock = os.open(case_base_path.parent, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX if args.retain else fcntl.LOCK_SH)
+        case_base = _stage("load", read_case_base, case_base_path)
+        params = _stage("fit", fit_minmax, case_base)
+        query = _build_query(args)
+        prediction = _stage("predict", predict, query, case_base, args.config, params)
 
-    if args.retain:
-        case_base, params = _stage("retain", retain, query, prediction.predicted_target, case_base)
-        _stage("write", _replace, write_case_base, case_base, case_base_path)
-        _stage("write", _replace, write_params, params, case_base_path.parent / "normalization.json")
+        if args.retain:
+            case_base, params = _stage("retain", retain, query, prediction.predicted_target, case_base)
+            _stage("write", _replace, write_case_base, case_base, case_base_path)
+            _stage("write", _replace, write_params, params, case_base_path.parent / "normalization.json")
+    finally:
+        os.close(lock)  # releases the lock
 
     payload = reports.prediction_to_dict(prediction, args.retain, len(case_base))
     print(_json_text(payload))

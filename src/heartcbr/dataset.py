@@ -73,8 +73,9 @@ class CaseBase:
     index (one dict lookup) and replaces the read-only views, so a reader
     keeps views that agree with each other. The ids array is the only copy
     of the ids; the cases are kept too, as they hold integers past 2**53
-    exactly. :meth:`derived_rows` keeps one transform of the distinct rows
-    (the engine's scaled rows) up to date, attribute-major.
+    exactly. It alone invalidates its caches: :meth:`derived_rows` (a
+    transform of the distinct rows, the engine's scaled rows, attribute-major)
+    and :meth:`fitted` (a fit of the extrema, kept until their bits move).
     """
 
     def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
@@ -104,6 +105,7 @@ class CaseBase:
         # and its first count columns hold the transform of the first count
         # distinct rows. No key equals the initial object().
         self._derived: tuple[object, np.ndarray, int] = (object(), np.empty((0, 0)), 0)
+        self._fitted: tuple = (None, None)  # (key, value) of fitted()
         self._publish()
 
     @classmethod
@@ -161,6 +163,13 @@ class CaseBase:
         """
         return self._lo.tolist(), self._hi.tolist()
 
+    def fitted(self, fit):
+        """``fit(*self.extrema())``, the same object until an :meth:`add` moves an extremum's bits."""
+        key = (self._lo.tobytes(), self._hi.tobytes(), fit)  # bits: 0.0 and -0.0 differ
+        if self._fitted[0] != key:
+            self._fitted = (key, fit(*self.extrema()))
+        return self._fitted[1]
+
     def derived_rows(self, key, transform) -> np.ndarray:
         """Read-only ``transform`` of the distinct feature rows, cached while ``key`` stays equal.
 
@@ -179,7 +188,7 @@ class CaseBase:
         n = len(first)
         capacity = len(self._arrays[0])
         cached_key, rows, done = self._derived
-        if cached_key != key:
+        if cached_key is not key and cached_key != key:
             rows = np.empty(features.shape[1:] + (capacity,))
             rows[:, :n] = transform(features.take(first, axis=0)).T
         else:
@@ -390,15 +399,11 @@ def _case_fields(case: Case) -> list[str]:
 
 def _write_rows(sink, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as CSV with LF line ends, to a path or an open text stream."""
-    own = not hasattr(sink, "write")
-    stream = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    opened = nullcontext(sink) if hasattr(sink, "write") else open(sink, "w", encoding="utf-8", newline="")
+    with opened as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if own:
-            stream.close()
 
 
 # Exact types that a record template prints with repr(), which is what

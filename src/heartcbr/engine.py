@@ -12,12 +12,15 @@ queries x cases. It broadcasts ``|q - c|``, ``1 - d`` and the clamp at 0 over
 a group of attributes at once, as many as fit BLOCK_PAIRS scores (all 13 for
 one query against a paper-sized base, one for a full block of a frozen
 evaluate), then adds ``w * sim`` into ``num`` one attribute at a time, in
-order, and divides once by the sequential weight sum. That is the float64
-operation sequence of a per-pair loop (no np.sum, np.add.reduce, dot or
-matmul, which reorder additions), so scores lie in [0, 1], self-similarity is
-exactly 1.0 and scores are symmetric, bit for bit. Degenerate (zero-range)
-attributes match on equal raw values. :func:`evaluate` holds at most
-BLOCK_PAIRS scores at once.
+order (weights and degenerate flags from a plan cached per pair of tuples),
+and divides once by the sequential weight sum. ``num`` starts as the first
+weighted plane, not 0.0 plus it; only a -0.0 plane, from a negative weight
+(the plan makes -0.0 weights 0.0), tells them apart, and the positive term
+of a positive weight sum absorbs its sign. So this is the float64 operation
+sequence of a per-pair loop (no np.sum, np.add.reduce, dot or matmul, which
+reorder additions): scores lie in [0, 1], self-similarity is exactly 1.0 and
+scores are symmetric, bit for bit. Degenerate (zero-range) attributes match
+on equal raw values. :func:`evaluate` holds at most BLOCK_PAIRS scores.
 
 The kernel runs under a ufunc buffer of KERNEL_BUFSIZE elements and puts the
 caller's buffer size back when it returns or raises. With numpy's default
@@ -47,14 +50,14 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .analytics import CaseResult, ConfusionCounts, EvaluationReport
-from .cases import N_FEATURES, Case, CaseValidationError
+from .cases import N_FEATURES, Case, CaseValidationError, _feature_values
 from .dataset import CaseBase, feature_matrix
 from .scaling import NormalizationParams, fit_minmax
 
@@ -124,25 +127,25 @@ def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.n
     """
     previous = np.setbufsize(KERNEL_BUFSIZE)
     try:
-        n_attributes = len(weights)
+        plan = _plan(tuple(weights), tuple(degenerate))
         q_all = queries.T[:, :, np.newaxis]
         c_all = cases[:, np.newaxis, :]
-        num = np.zeros((len(queries), cases.shape[1]))
-        group = max(1, min(BLOCK_PAIRS // max(num.size, 1), n_attributes))
-        buffer = np.empty((group,) + num.shape)
-        for start in range(0, n_attributes, group):
-            stop = min(start + group, n_attributes)
-            sim = buffer[: stop - start]
+        group = max(1, min(BLOCK_PAIRS // max(len(queries) * cases.shape[1], 1), len(plan)))
+        buffer = np.empty((group + (group < len(plan)), len(queries), cases.shape[1]))
+        for start in range(0, len(plan), group):
+            stop = min(start + group, len(plan))
+            sim = buffer[min(start, 1) :][: stop - start]  # plane 0 is num after the first group
             np.subtract(q_all[start:stop], c_all[start:stop], out=sim)
             np.abs(sim, out=sim)
             np.subtract(1.0, sim, out=sim)
             np.maximum(sim, 0.0, out=sim)
             for j, plane in enumerate(sim, start):
-                if degenerate[j]:
+                is_degenerate, weight = plan[j]
+                if is_degenerate:
                     np.equal(q_all[j], c_all[j], out=plane)
-                if weights[j] != 1.0:  # x * 1.0 == x, so skipping it keeps the bits
-                    plane *= weights[j]
-                num += plane  # not np.add.reduce over the group: it may sum pairwise
+                if weight is not None:
+                    plane *= weight
+                num = np.add(num, plane, out=num) if j else plane  # not np.add.reduce: it may sum pairwise
         num /= weight_sum
         return num
     finally:
@@ -150,21 +153,17 @@ def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.n
 
 
 @lru_cache(maxsize=8)
-def _scaling(params: NormalizationParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """(mins, divisors, degenerate mask, any divisor below 1) of ``params``, built once per distinct params."""
-    degenerate = np.array(params.degenerate, dtype=bool)
-    arrays = np.array(params.mins), np.where(degenerate, 1.0, params.ranges), degenerate
-    for array in arrays:
-        array.flags.writeable = False  # shared by every caller with equal params
-    return arrays + (bool(arrays[1].min() < 1.0),)
+def _plan(weights: tuple[float, ...], degenerate: tuple[bool, ...]) -> tuple[tuple[bool, float | None], ...]:
+    """(degenerate?, weight) per attribute: None for 1.0 (``x * 1.0 == x``), 0.0 for -0.0."""
+    return tuple((flag, None if w == 1.0 else w + 0.0) for w, flag in zip(weights, degenerate, strict=True))
 
 
 def _prepare(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
     """Kernel rows from raw features: ``(x - lo) / range``, raw on degenerate attributes."""
     if features.shape[1] != len(params):
         raise ValueError(f"{features.shape[1]} attributes do not match parameters ({len(params)})")
-    mins, divisors, degenerate, small_range = _scaling(params)
-    rows = features - mins
+    offsets, divisors, small_range = params.kernel_transform
+    rows = features - offsets
     # A range below 1 can scale a finite value past the largest float; the
     # clamp scores that inf 0. Entering errstate costs more than the division
     # itself, so it is entered only then.
@@ -173,7 +172,6 @@ def _prepare(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
             rows /= divisors
     else:
         rows /= divisors
-    np.copyto(rows, features, where=degenerate)
     return rows
 
 
@@ -296,13 +294,13 @@ def retain(
     is checked here: a :class:`Case` was validated where it entered the
     program (``parse_csv``, ``read_case_base`` or the CLI query). The case
     base widens its extrema with the new row, so the refit costs the same at
-    any size and gives what fitting the enlarged base from scratch gives.
-    Requires exclusive access to the case base (single writer).
+    any size and gives what fitting the enlarged base from scratch gives (the
+    same object while no extremum's bits move). Single writer.
     """
     # A bool is not an integer target, as in validate_case; 1.0 is stored as 1.
     if isinstance(solved_target, bool) or solved_target not in (0, 1):
         raise CaseValidationError(f"solved target must be 0 or 1, got {solved_target!r}")
-    case_id = case_base.add(replace(query, target=int(solved_target)))
+    case_id = case_base.add(Case(*_feature_values(query), int(solved_target)))
     params = fit_minmax(case_base)
     logger.debug("retain: stored case %d with target %d", case_id, solved_target)
     return case_base, params

@@ -6,6 +6,7 @@ deterministic: identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -25,12 +26,7 @@ def evaluation_report_to_dict(report: EvaluationReport, config: dict) -> dict:
         "n_test": report.n_test,
         "test_accuracy": report.test_accuracy,
         "merged_accuracy": report.merged_accuracy,
-        "confusion": {
-            "tp": report.confusion.tp,
-            "tn": report.confusion.tn,
-            "fp": report.confusion.fp,
-            "fn": report.confusion.fn,
-        },
+        "confusion": asdict(report.confusion),  # tp, tn, fp, fn
         "per_case": [
             {
                 "index": r.index,

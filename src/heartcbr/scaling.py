@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import sub
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .cases import FEATURE_NAMES
 from .dataset import CaseBase, _read_json, _write_json
@@ -43,6 +46,16 @@ class NormalizationParams:
     def __len__(self) -> int:
         return len(self.mins)
 
+    @cached_property
+    def kernel_transform(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(offsets, divisors, any divisor below 1) of the kernel's ``(x - offset) / divisor``."""
+        degenerate = np.array(self.degenerate, dtype=bool)
+        # Offset 0.0 and divisor 1.0 keep a degenerate attribute raw, bit for bit (-0.0 too).
+        arrays = np.where(degenerate, 0.0, self.mins), np.where(degenerate, 1.0, self.ranges)
+        for array in arrays:
+            array.flags.writeable = False  # shared by every caller of this object
+        return arrays + (bool(arrays[1].min() < 1.0),)
+
 
 def fit_from_vectors(vectors: Iterable[Sequence[float]]) -> NormalizationParams:
     """Column-wise extrema over feature vectors; range = max - min."""
@@ -69,11 +82,11 @@ def fit_minmax(train: CaseBase) -> NormalizationParams:
     The extrema are column minima and maxima of the raw feature matrix, which
     are exact, so they equal a row-by-row scan bit for bit. The case base
     keeps them up to date as cases are added (:meth:`CaseBase.extrema`), so
-    refitting it after a retain reads 13 pairs instead of reducing every row.
+    refitting reads 13 pairs, and gives the last fit's object until their bits move.
     """
     if not len(train):
         raise ValueError("cannot fit normalization on an empty training set")
-    return _from_extrema(*train.extrema())
+    return train.fitted(_from_extrema)
 
 
 def normalize(vector: Sequence[float], params: NormalizationParams) -> tuple[float, ...]:

@@ -286,6 +286,54 @@ def test_chained_predict_retain_equals_the_incremental_evaluate(tmp_path, capsys
     assert read_case_base(base_path) == split.train
 
 
+# A child process that imports the CLI, says it is ready, waits for the go
+# file and then retains its query RETAINS times into one base.
+RETAINS = 5
+RETAIN_CHILD = """
+import sys, time
+from pathlib import Path
+from heartcbr.cli import main
+base, query, go = sys.argv[1:]
+print("ready", flush=True)
+while not Path(go).exists():
+    time.sleep(0.001)
+for _ in range(%d):
+    if main(["predict", "--case-base", base, "--query", query, "--retain"]) != 0:
+        sys.exit(1)
+""" % RETAINS
+
+
+def test_concurrent_retains_into_one_base_lose_no_row(split_dir, tmp_path):
+    # Two processes, started together, retain 5 queries each. Each run reads
+    # the base, appends and replaces it whole, so without the lock a run that
+    # reads before the other's replace writes its row over the other's.
+    base_path = split_dir / "case_base.csv"
+    before = read_case_base(base_path)
+    names = sorted(path.name for path in split_dir.iterdir())
+    go = tmp_path / "go"
+    children = []
+    for k, query in enumerate(parse_csv(split_dir / "test.csv")[:2]):
+        query_path = tmp_path / f"query{k}.csv"
+        write_cases([query], query_path)
+        command = [sys.executable, "-c", RETAIN_CHILD, str(base_path), str(query_path), str(go)]
+        children.append(
+            subprocess.Popen(command, env=subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        )
+    try:
+        assert [child.stdout.readline() for child in children] == ["ready\n"] * 2
+        go.touch()
+        outcomes = [child.communicate(timeout=120) for child in children]
+    finally:
+        for child in children:
+            child.kill()
+    assert [child.returncode for child in children] == [0, 0], outcomes
+    after = read_case_base(base_path)  # rejects a repeated or decreasing id
+    assert len(after) == len(before) + 2 * RETAINS
+    assert after.ids()[: len(before)] == before.ids()
+    assert after.ids()[len(before) :] == list(range(before.ids()[-1] + 1, before.ids()[-1] + 1 + 2 * RETAINS))
+    assert sorted(path.name for path in split_dir.iterdir()) == names
+
+
 def test_plain_predict_writes_no_file(split_dir, capsys):
     (split_dir / "normalization.json").unlink()
     before = {path.name: path.read_bytes() for path in split_dir.iterdir()}
@@ -505,10 +553,12 @@ def test_run_all_emits_full_output_set(tmp_path, synthetic_csv):
 # 18 files with the duplicate-collapse kernel, before the CSV and JSON writers
 # were merged into one each; the 10,250-row ones with the kernel before retain
 # widened the extrema incrementally and cached the scaled rows, the
-# 102,500-row ones with the kernel that scored one attribute at a time over
-# row-major cases. Any change to a score, a tie-break, the scaling, a table or
-# a file format shows here. The 102,500-row run takes minutes, so it is marked
-# slow and runs only with ``-m slow``.
+# 102,500-row frozen ones with the kernel that scored one attribute at a time
+# over row-major cases, and the 102,500-row incremental ones with the kernel
+# that seeded its sum with np.zeros and rebuilt the scaling on every retain.
+# Any change to a score, a tie-break, the scaling, a table or
+# a file format shows here. The 102,500-row runs take minutes, so they are
+# marked slow and run only with ``-m slow``.
 REPORT_DIGESTS = {
     1025: {
         "frozen": {
@@ -570,6 +620,10 @@ REPORT_DIGESTS = {
         "frozen": {
             "evaluation_report.json": "b7d60c35a059ba1009fc40cfa68bfb5c402c28b1eefc777568829e717b5c3130",
             "per_case.csv": "14fe15ba3311d703725ee3a6760e175be26caf8d16e74c523edecb89cca6e815",
+        },
+        "incremental": {
+            "evaluation_report.json": "70cf4889f723daadcb621d41df6127dcf4421714ff90557c897bd29c50fbb5f9",
+            "per_case.csv": "b53a64c48cd3ecc2e8e45e3e2bbe0c1e213dc085e27f14453eb88f769f6b4f67",
         },
     },
 }

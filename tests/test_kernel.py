@@ -236,6 +236,48 @@ def test_kernel_matches_oracle_in_every_attribute_group_size():
         check_kernel(cases[:1], [query], weights, block_pairs=1)
 
 
+def far_query(base):
+    """A query more than one scaled unit from every stored case in every attribute: each local similarity is 0."""
+    values = {}
+    for name in FEATURE_NAMES:
+        column = [getattr(c, name) for c in base]
+        values[name] = 2 * max(column) - min(column) + 1  # past the max by range + 1
+    return dataclasses.replace(base[0], **values)
+
+
+@st.composite
+def signed_zero_inputs(draw):
+    base = draw(st.lists(case_records, min_size=1, max_size=8))
+    if draw(st.booleans()):  # attribute 0 (age) degenerate
+        base = [dataclasses.replace(c, age=base[0].age) for c in base]
+    weights = draw(weight_vectors.filter(lambda ws: sum(ws[1:]) > 0))
+    weights[0] = draw(st.sampled_from([0.0, -0.0]))
+    queries = draw(st.lists(case_records, max_size=4)) + [far_query(base)]
+    return base, queries, weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_zero_inputs())
+def test_scores_equal_the_oracle_by_repr_with_a_signed_zero_first_weight(inputs):
+    # The kernel seeds its sum with the first weighted plane, which is -0.0
+    # under a -0.0 weight where the oracle adds it to 0.0. Every score,
+    # printed, must still be the oracle's, and the far query's 0.0, not -0.0.
+    base_cases, queries, weights = inputs
+    config = SimilarityConfig(weights=tuple(weights))
+    base = CaseBase.from_cases(base_cases)
+    params = fit_minmax(base)
+    stored = [to_feature_vector(c) for c in base_cases]
+    report = evaluate(queries, base, config, params)
+    for query, result in zip(queries, report.per_case):
+        expected = oracle_scores(to_feature_vector(query), stored, weights)
+        by_id = sorted(retrieve(query, base, config, params))
+        assert [repr(m.score) for m in by_id] == [repr(score) for score in expected]
+        best = repr(max(expected))
+        assert repr(result.best_similarity) == best
+        assert repr(predict(query, base, config, params).best_global_similarity) == best
+    assert repr(report.per_case[-1].best_similarity) == "0.0"
+
+
 # Two values per attribute, so a row can be changed in one attribute alone.
 OTHER_VALUE = {
     "age": (40, 41), "sex": (0, 1), "cp": (0, 1), "trestbps": (120, 121), "chol": (200, 201),

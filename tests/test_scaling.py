@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from heartcbr.cases import FEATURE_NAMES, to_feature_vector
 from heartcbr.dataset import CaseBase
+from heartcbr.engine import retain
 from heartcbr.scaling import (
     NormalizationParams,
     fit_from_vectors,
@@ -171,6 +173,32 @@ def test_fit_after_adds_equals_reducing_the_columns(start, added, first_fit):
         assert [repr(x) for x in params.mins] == [repr(x) for x in features.min(axis=0).tolist()]
         assert [repr(x) for x in params.maxs] == [repr(x) for x in features.max(axis=0).tolist()]
         assert params == fit_from_vectors(features.tolist())
+
+
+def float_reprs(params):
+    return [repr(x) for x in params.mins + params.maxs + params.ranges], params.degenerate
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.lists(widening_cases, min_size=1, max_size=6),
+    added=st.lists(widening_cases | st.integers(0, 40), min_size=1, max_size=30),
+)
+def test_retain_keeps_the_params_object_exactly_while_no_extremum_moves(start, added):
+    # An integer in added repeats that stored case with the sign of its
+    # oldpeak zero flipped (or as it is, when oldpeak is not zero), so rows
+    # that differ from a stored one only by 0.0 against -0.0 come often.
+    base = CaseBase.from_cases(start)
+    params = fit_minmax(base)
+    for case in added:
+        if isinstance(case, int):
+            case = base.cases()[case % len(base)]
+            case = dataclasses.replace(case, oldpeak=-case.oldpeak if case.oldpeak == 0 else case.oldpeak)
+        base, refit = retain(case, case.target, base)
+        rebuilt = fit_minmax(CaseBase.from_cases(base.cases()))
+        assert float_reprs(refit) == float_reprs(rebuilt)
+        assert (refit is params) == (float_reprs(rebuilt) == float_reprs(params))
+        params = refit
 
 
 def edited_sidecar(tmp_path, **chol):

@@ -61,3 +61,23 @@ def test_bench_scale_records_stages_and_the_run_all_digests(tmp_path):
     assert main(["run-all", "--input", str(data), "--out-dir", str(tmp_path / "direct")]) == 0
     for name, digest in runs[0]["digests"].items():
         assert hashlib.sha256((tmp_path / "direct" / name).read_bytes()).hexdigest() == digest
+
+
+def test_bench_scale_keeps_the_fastest_run_of_every_call_under_one_label(tmp_path):
+    # Two checkouts are compared in interleaved rounds of one call each, so a
+    # label gathers its runs over calls: one run per size and mode, the fastest.
+    out = tmp_path / "bench.json"
+    script = str(REPO_ROOT / "scripts" / "bench_scale.py")
+    first = None
+    for sizes in (["120"], ["120", "60"]):
+        command = [
+            sys.executable, script, "--label", "round", "--out", str(out), "--repeats", "1",
+            "--sizes", *sizes, "--incremental-sizes",
+        ]
+        result = subprocess.run(command, env=subprocess_env(), capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        runs = json.loads(out.read_text(encoding="utf-8"))["round"]["runs"]
+        first = first or runs[0]
+    assert [(run["rows"], run["repeats"]) for run in runs] == [(120, 2), (60, 1)]
+    assert runs[0]["run_all_s"] <= first["run_all_s"]
+    assert runs[0]["digests"] == first["digests"]
