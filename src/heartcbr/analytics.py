@@ -162,11 +162,11 @@ def pearson_correlation(cases: Sequence[Case]) -> list[list[float | None]]:
 
     data = np.array(list(map(attrgetter(*CORRELATION_COLUMNS), cases)), dtype=np.float64)
     n_cols = data.shape[1]
-    constant = [bool(data[:, j].min() == data[:, j].max()) for j in range(n_cols)]
-    # One contiguous row per centred column, summed by np.add.reduce: a BLAS
-    # dot product orders its sum by the thread count, so its bits vary.
+    constant = (data.min(axis=0) == data.max(axis=0)).tolist()
+    # Centred columns as contiguous rows; products[i][j - i] sums rows i * j by np.add.reduce,
+    # as a call on that one row does. A BLAS dot orders its sum by the thread count, so its bits vary.
     centered = np.ascontiguousarray((data - data.mean(axis=0)).T)
-    squares = [float(np.add.reduce(column * column)) for column in centered]
+    products = [np.add.reduce(centered[i] * centered[i:], axis=1).tolist() for i in range(n_cols)]
 
     matrix: list[list[float | None]] = [[None] * n_cols for _ in range(n_cols)]
     for i in range(n_cols):
@@ -176,7 +176,7 @@ def pearson_correlation(cases: Sequence[Case]) -> list[list[float | None]]:
         for j in range(i + 1, n_cols):
             if constant[j]:
                 continue
-            r = float(np.add.reduce(centered[i] * centered[j])) / math.sqrt(squares[i] * squares[j])
+            r = products[i][j - i] / math.sqrt(products[i][0] * products[j][0])
             r = max(-1.0, min(1.0, r))
             matrix[i][j] = r
             matrix[j][i] = r

@@ -11,7 +11,9 @@ One numpy kernel, :func:`_score_block`, computes every score over a block of
 queries x cases. It broadcasts ``|q - c|``, ``1 - d`` and the clamp at 0 over
 a group of attributes at once, as many as fit BLOCK_PAIRS scores (all 13 for
 one query against a paper-sized base, one for a full block of a frozen
-evaluate), then adds ``w * sim`` into ``num`` one attribute at a time, in
+evaluate; a block split into groups skips the clamp if its values and the base's
+lie in [0, 1], where rounding is monotone, so ``|q - c| <= 1`` and ``1 - d >= +0.0``),
+then adds ``w * sim`` into ``num`` one attribute at a time, in
 order (weights and degenerate flags from a plan cached per pair of tuples),
 and divides once by the sequential weight sum. ``num`` starts as the first
 weighted plane, not 0.0 plus it; only a -0.0 plane, from a negative weight
@@ -50,8 +52,9 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import le
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -84,18 +87,16 @@ class SimilarityConfig:
     """
 
     weights: tuple[float, ...] = (1.0,) * N_FEATURES
+    weight_sum: float = field(init=False, repr=False, compare=False)  # summed in order, once
 
     def __post_init__(self):
         if len(self.weights) != N_FEATURES:
             raise ValueError(f"expected {N_FEATURES} weights, got {len(self.weights)}")
         if not all(map(math.isfinite, self.weights)) or min(self.weights) < 0:
             raise ValueError("weights must be finite and non-negative")
+        object.__setattr__(self, "weight_sum", _sequential_sum(self.weights))
         if not 0.0 < self.weight_sum < math.inf:
             raise ValueError("weights must not all be zero and must have a finite sum")
-
-    @property
-    def weight_sum(self) -> float:
-        return _sequential_sum(self.weights)
 
 
 class RankedMatch(NamedTuple):
@@ -116,14 +117,14 @@ class Prediction:
     best_global_similarity: float
 
 
-def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.ndarray:
+def _score_block(queries, cases, weights, degenerate, weight_sum: float, clamp: bool = True) -> np.ndarray:
     """Scores of every query row against every case column, shape (queries, cases).
 
     ``queries`` is row-major (queries x attributes), ``cases`` attribute-major
     (attributes x cases). Values are scaled (range 1), but degenerate
     attributes match only on equal values. Attributes are broadcast in groups
     that fill one buffer of at most max(BLOCK_PAIRS, queries x cases) scores,
-    then added into ``num`` one plane at a time, in attribute order.
+    then added into ``num`` one plane at a time, in attribute order (clamped unless ``clamp=False``).
     """
     previous = np.setbufsize(KERNEL_BUFSIZE)
     try:
@@ -138,7 +139,8 @@ def _score_block(queries, cases, weights, degenerate, weight_sum: float) -> np.n
             np.subtract(q_all[start:stop], c_all[start:stop], out=sim)
             np.abs(sim, out=sim)
             np.subtract(1.0, sim, out=sim)
-            np.maximum(sim, 0.0, out=sim)
+            if clamp:
+                np.maximum(sim, 0.0, out=sim)
             for j, plane in enumerate(sim, start):
                 is_degenerate, weight = plan[j]
                 if is_degenerate:
@@ -189,7 +191,16 @@ def _score_blocks(
     step = max(1, BLOCK_PAIRS // cases.shape[1])
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        yield _score_block(block, cases, config.weights, params.degenerate, config.weight_sum)
+        # Scored as one group of all attributes, a block clamps in one call: about what checking costs.
+        clamp = len(block) * cases.size <= BLOCK_PAIRS or _may_score_below_zero(block, case_base, params)
+        yield _score_block(block, cases, config.weights, params.degenerate, config.weight_sum, clamp)
+
+
+def _may_score_below_zero(block: np.ndarray, case_base: CaseBase, params: NormalizationParams) -> bool:
+    """False if the block's values lie in [0, 1] and so do the base's, as the params' extrema cover its."""
+    lo, hi = case_base.extrema()
+    covered = all(map(le, params.mins, lo)) and all(map(le, hi, params.maxs))
+    return not (covered and 0.0 <= block.min() and block.max() <= 1.0)
 
 
 def _ranking(scores: np.ndarray, ids, targets) -> list[RankedMatch]:

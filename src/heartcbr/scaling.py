@@ -2,9 +2,10 @@
 
 Fitting records per-attribute extrema of the raw training data. Scaled
 training values land in [0, 1] exactly; test values outside the training
-extrema are deliberately not clamped here (the similarity measure clamps
-instead, keeping a single auditable clamp point). A zero-range attribute is
-flagged degenerate and scales to 0; retrieval compares its raw values instead.
+extrema are deliberately not clamped here (the similarity kernel clamps
+instead, in one place, where a local similarity can fall below 0). A
+zero-range attribute is flagged degenerate and scales to 0; retrieval
+compares its raw values instead.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import random
+from operator import attrgetter
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heartcbr.analytics import (
     CORRELATION_COLUMNS,
@@ -10,6 +13,8 @@ from heartcbr.analytics import (
     dataset_stats,
     pearson_correlation,
 )
+from heartcbr.cases import FEATURE_NAMES, validate_case
+from heartcbr.synthetic import generate_rows
 
 from conftest import cases_strategy, make_case
 
@@ -247,3 +252,49 @@ def test_correlation_requires_two_rows_and_targets():
 
     with pytest.raises(ValueError):
         pearson_correlation([Case(**raw), Case(**raw)])
+
+
+def per_pair_pearson(cases):
+    """The correlation matrix one column pair at a time, each sum its own np.add.reduce call."""
+    data = np.array(list(map(attrgetter(*CORRELATION_COLUMNS), cases)), dtype=np.float64)
+    n_cols = data.shape[1]
+    constant = [bool(data[:, j].min() == data[:, j].max()) for j in range(n_cols)]
+    centered = np.ascontiguousarray((data - data.mean(axis=0)).T)
+    squares = [float(np.add.reduce(column * column)) for column in centered]
+
+    matrix = [[None] * n_cols for _ in range(n_cols)]
+    for i in range(n_cols):
+        if constant[i]:
+            continue
+        matrix[i][i] = 1.0
+        for j in range(i + 1, n_cols):
+            if constant[j]:
+                continue
+            r = float(np.add.reduce(centered[i] * centered[j])) / math.sqrt(squares[i] * squares[j])
+            r = max(-1.0, min(1.0, r))
+            matrix[i][j] = r
+            matrix[j][i] = r
+    return matrix
+
+
+@st.composite
+def correlation_inputs(draw):
+    # Sizes past numpy's 8192-element buffer as well as small ones; a few
+    # columns made constant, and sometimes a copied column, which is
+    # perfectly correlated.
+    n = draw(st.one_of(st.integers(2, 300), st.sampled_from([8191, 8192, 8193, 12_289])))
+    seed = draw(st.integers(0, 2**16))
+    cases = [validate_case(raw)[0] for raw in generate_rows(n, seed=seed, duplicate_fraction=0.0)]
+    for name in draw(st.sets(st.sampled_from(FEATURE_NAMES), max_size=3)):
+        cases = [dataclasses.replace(c, **{name: getattr(cases[0], name)}) for c in cases]
+    if draw(st.booleans()):
+        cases = [dataclasses.replace(c, chol=c.trestbps) for c in cases]
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(correlation_inputs())
+def test_correlation_matches_the_per_pair_sums_by_repr(cases):
+    # pearson_correlation sums all pairs of one column in one np.add.reduce
+    # along rows; each row must be summed exactly as a call of its own sums it.
+    assert repr(pearson_correlation(cases)) == repr(per_pair_pearson(cases))

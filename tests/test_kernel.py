@@ -51,13 +51,13 @@ def oracle_score(query, row, weights, degenerate, weight_sum):
     return num / weight_sum
 
 
-def oracle_scores(query, stored, weights):
-    """Scores of a raw query against raw stored rows, scaling fitted on the rows.
+def oracle_scores(query, stored, weights, params=None):
+    """Scores of a raw query against raw stored rows, scaling fitted on the rows unless given.
 
     Degenerate attributes keep their raw values, so they match only on equal
     raw values.
     """
-    params = fit_from_vectors(stored)
+    params = params or fit_from_vectors(stored)
 
     def prepared(vector):
         scaled = normalize(vector, params)
@@ -431,6 +431,100 @@ def test_subnormal_range_scores_without_a_warning():
     assert (prediction.best_case_id, prediction.best_global_similarity) == oracle_best(expected)
     assert [m.score for m in ranked] == expected
     assert report.per_case[0].best_similarity == max(expected)
+
+
+@pytest.fixture
+def clamp_calls(monkeypatch):
+    """Shapes of the planes the kernel clamps, through a counting ``np.maximum`` (``CaseBase.add`` calls it too)."""
+    calls = []
+    maximum = np.maximum
+
+    def counting(planes, *args, **kwargs):
+        calls.append(np.shape(planes))
+        return maximum(planes, *args, **kwargs)
+
+    monkeypatch.setattr(np, "maximum", counting)
+    return calls
+
+
+def assert_scores_match_oracle(queries, base_cases, params, weights=(1.0,) * 13):
+    """Frozen evaluate, predict and retrieve agree with the oracle under ``params``, bit for bit."""
+    config = SimilarityConfig(tuple(weights))
+    base = CaseBase.from_cases(base_cases)
+    stored = [to_feature_vector(c) for c in base_cases]
+    report = evaluate(queries, base, config, params)
+    for query, result in zip(queries, report.per_case):
+        expected = oracle_scores(to_feature_vector(query), stored, weights, params)
+        best_id, best_score = oracle_best(expected)
+        assert (result.best_case_id, result.best_similarity.hex()) == (best_id, best_score.hex())
+        prediction = predict(query, base, config, params)
+        assert (prediction.best_case_id, prediction.best_global_similarity.hex()) == (best_id, best_score.hex())
+        ranked = sorted(retrieve(query, base, config, params))
+        assert [m.score.hex() for m in ranked] == [score.hex() for score in expected]
+
+
+def test_in_range_frozen_blocks_skip_the_clamp(clamp_calls):
+    # Queries inside the training extrema scale into [0, 1], as every stored
+    # row does, so no local similarity can fall below 0 and no block clamps.
+    cases = [validate_case(raw)[0] for raw in generate_rows(300, seed=11)]
+    base_cases, queries = cases[:200], cases[200:]
+    params = fit_from_vectors(map(to_feature_vector, base_cases))
+    in_range = [
+        q for q in queries
+        if all(lo <= x <= hi for x, lo, hi in zip(to_feature_vector(q), params.mins, params.maxs))
+    ]
+    assert len(in_range) > 50
+    # Blocks of 8 queries, and single queries, split into groups of attributes.
+    with mock.patch.object(engine, "BLOCK_PAIRS", 8 * len(base_cases)):
+        assert_scores_match_oracle(in_range, base_cases, params)
+    assert clamp_calls == []
+    # One query scored in one group of all 13 attributes clamps unchecked.
+    predict(in_range[0], CaseBase.from_cases(base_cases), SimilarityConfig(), params)
+    assert len(clamp_calls) == 1
+    # global_similarity and rank_scaled clamp whatever their inputs.
+    global_similarity([0.5] * 13, [0.5] * 13, SimilarityConfig(), params)
+    engine.rank_scaled([0.5] * 13, [[0.5] * 13], [0], [1], [1.0] * 13)
+    assert len(clamp_calls) == 3
+
+
+@mock.patch.object(engine, "BLOCK_PAIRS", 1)  # one attribute per group: every block is checked
+def test_blocks_that_can_score_below_zero_clamp(clamp_calls):
+    # Each input below puts a value outside [0, 1] into the block or the base
+    # and so must clamp. The base varies in every attribute, so that value is
+    # the only reason to. Each agrees with the oracle bit for bit, which the
+    # first three could not without the clamp: a local similarity falls below 0.
+    base = [validate_case(raw)[0] for raw in generate_rows(30, seed=17, duplicate_fraction=0.0)]
+    fitted = fit_minmax(CaseBase.from_cases(base))
+    assert not any(fitted.degenerate)
+    ages = [c.age for c in base]
+    far = 2 * max(ages) - min(ages) + 1  # past the max by range + 1: scales above 2
+
+    # A query outside the training extrema.
+    assert_scores_match_oracle([dataclasses.replace(base[0], age=far)], base, fitted)
+    assert clamp_calls
+    clamp_calls.clear()
+
+    # Params fitted on a narrower base than the one scored: the query scales
+    # into [0, 1], but the added stored row does not.
+    wider = base + [dataclasses.replace(base[1], age=far)]
+    assert_scores_match_oracle([base[2]], wider, fitted)
+    assert clamp_calls
+    clamp_calls.clear()
+
+    # A subnormal range: oldpeak 6.2 scales to inf.
+    tiny = [dataclasses.replace(c, oldpeak=5e-324 * (i % 2)) for i, c in enumerate(base)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        query = dataclasses.replace(base[3], oldpeak=6.2)
+        assert_scores_match_oracle([query], tiny, fit_minmax(CaseBase.from_cases(tiny)))
+    assert clamp_calls
+    clamp_calls.clear()
+
+    # A degenerate attribute keeps its raw value, age 40 here, which is
+    # outside [0, 1]: the clamp stays, though it cannot change that plane.
+    constant_age = [dataclasses.replace(c, age=40) for c in base]
+    assert_scores_match_oracle([base[4]], constant_age, fit_minmax(CaseBase.from_cases(constant_age)))
+    assert clamp_calls
 
 
 AMBIENT_BUFSIZES = (64, 8192, 1 << 16)
