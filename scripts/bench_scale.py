@@ -19,7 +19,11 @@ digests must not change. To compare two checkouts, interleave them round by
 round, one ``--repeats 1`` call per checkout per round, for at least three
 rounds. The host's speed drifts over minutes, so running one checkout's
 repeats and then the other's reads that drift as a difference between them.
-The script times whichever ``heartcbr`` PYTHONPATH points at:
+Every run of a call writes into one output directory, so only the first
+writes new files and the later ones overwrite them; with ``--repeats 2`` or
+more, each run of a size after its first rewrites files of that size, as
+a rerun into an old ``--out-dir`` does. The script times whichever
+``heartcbr`` PYTHONPATH points at:
 
     for round in 1 2 3; do
         PYTHONPATH=../parent/src python3 scripts/bench_scale.py --label before --repeats 1

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, compress, repeat
+from operator import eq
 from typing import Sequence
 
 import numpy as np
 
 from .cases import FEATURE_NAMES, TARGET_NAME, Case
+from .dataset import feature_matrix
 
 CORRELATION_COLUMNS: tuple[str, ...] = FEATURE_NAMES + (TARGET_NAME,)
 
@@ -100,13 +103,21 @@ def dataset_stats(cases: Sequence[Case], labels: Sequence[int]) -> StatsTables:
             f"alignment mismatch: {len(cases)} cases vs {len(labels)} labels"
         )
 
-    male = sum(1 for c in cases if c.sex == 1)
+    # One C-level pass per attribute and per count. A label counts as positive
+    # when ``label == 1`` is true, as compress reads each selector.
+    sexes = [case.sex for case in cases]
+    ages = [case.age for case in cases]
+    codes = [case.cp for case in cases]
+    positive_flags = list(map(eq, labels, repeat(1)))
+
+    male = sexes.count(1)
     gender_counts = {"male": male, "female": len(cases) - male}
 
-    positive = sum(1 for lab in labels if lab == 1)
+    positive_sexes = list(compress(sexes, positive_flags))
+    positive = len(positive_sexes)
     disease_counts = {"positive": positive, "negative": len(cases) - positive}
 
-    male_pos = sum(1 for c, lab in zip(cases, labels) if lab == 1 and c.sex == 1)
+    male_pos = positive_sexes.count(1)
     female_pos = positive - male_pos
     positives_by_gender = {
         "male": {
@@ -119,29 +130,29 @@ def dataset_stats(cases: Sequence[Case], labels: Sequence[int]) -> StatsTables:
         },
     }
 
-    disease_by_age: dict[int, int] = {}
-    max_heart_rate_by_age: dict[int, int] = {}
-    for case, label in zip(cases, labels):
-        disease_by_age.setdefault(case.age, 0)
-        if label == 1:
-            disease_by_age[case.age] += 1
-        best = max_heart_rate_by_age.get(case.age)
-        if best is None or case.thalach > best:
-            max_heart_rate_by_age[case.age] = case.thalach
+    disease_by_age = dict.fromkeys(sorted(set(ages)), 0)
+    disease_by_age.update(Counter(compress(ages, positive_flags)))
+    # The first of the highest rates per age; a plain loop beats sorting the pairs.
+    max_heart_rate_by_age = dict.fromkeys(disease_by_age)
+    for age, rate in zip(ages, [case.thalach for case in cases]):
+        best = max_heart_rate_by_age[age]
+        if best is None or rate > best:
+            max_heart_rate_by_age[age] = rate
 
-    chest_pain_table = {code: {"positives": 0, "total": 0} for code in sorted(CHEST_PAIN_LABELS)}
-    for case, label in zip(cases, labels):
-        entry = chest_pain_table.setdefault(case.cp, {"positives": 0, "total": 0})
-        entry["total"] += 1
-        if label == 1:
-            entry["positives"] += 1
+    # Codes 0-3 first, then any other code in order of first occurrence.
+    totals = Counter(codes)
+    positives = Counter(compress(codes, positive_flags))
+    chest_pain_table = {
+        code: {"positives": positives[code], "total": totals[code]}
+        for code in chain(sorted(CHEST_PAIN_LABELS), totals)
+    }
 
     return StatsTables(
         gender_counts=gender_counts,
         disease_counts=disease_counts,
         positives_by_gender=positives_by_gender,
-        disease_by_age=dict(sorted(disease_by_age.items())),
-        max_heart_rate_by_age=dict(sorted(max_heart_rate_by_age.items())),
+        disease_by_age=disease_by_age,
+        max_heart_rate_by_age=max_heart_rate_by_age,
         chest_pain_table=chest_pain_table,
     )
 
@@ -156,12 +167,14 @@ def pearson_correlation(cases: Sequence[Case]) -> list[list[float | None]]:
     """
     if len(cases) < 2:
         raise ValueError("correlation requires at least two cases")
-    for i, case in enumerate(cases):
-        if case.target is None:
-            raise ValueError(f"case {i} is missing a target")
+    targets = [case.target for case in cases]
+    if None in targets:
+        raise ValueError(f"case {targets.index(None)} is missing a target")
 
-    data = np.array(list(map(attrgetter(*CORRELATION_COLUMNS), cases)), dtype=np.float64)
-    n_cols = data.shape[1]
+    n_cols = len(CORRELATION_COLUMNS)
+    data = np.empty((len(cases), n_cols))
+    data[:, :-1] = feature_matrix(cases)
+    data[:, -1] = targets
     constant = (data.min(axis=0) == data.max(axis=0)).tolist()
     # Centred columns as contiguous rows; products[i][j - i] sums rows i * j by np.add.reduce,
     # as a call on that one row does. A BLAS dot orders its sum by the thread count, so its bits vary.

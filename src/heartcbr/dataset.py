@@ -1,4 +1,14 @@
-"""CSV ingestion, sequential train/test splitting, and case-base persistence."""
+"""CSV ingestion, sequential train/test splitting, and case-base persistence.
+
+Every file written here is overwritten in place: opened without truncating,
+written from the start, then cut to its new length. The file keeps its inode
+and mode, and a reader may see a mix of old and new bytes while it is being
+written, so no write is atomic. Truncating a non-empty file to zero first, as
+``open(path, "w")`` does, makes ext4 (``auto_da_alloc``) start writeback of
+the new data at close, which costs a small file many times its write.
+Callers that need atomicity write a temporary sibling and ``os.replace`` it,
+as ``predict --retain`` does for ``case_base.csv`` and ``normalization.json``.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +17,10 @@ import io
 import json
 import logging
 import math
+import os
+import stat
 from collections import Counter
-from contextlib import closing, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, starmap
@@ -397,9 +409,25 @@ def _case_fields(case: Case) -> list[str]:
     return row
 
 
+@contextmanager
+def _overwritten(path) -> Iterator[io.TextIOBase]:
+    """A UTF-8 text stream over ``path`` that overwrites it in place (see the module docstring).
+
+    The file is created with mode 0o666 less the umask, as ``open(path, "w")``
+    creates it. On a clean exit a regular file is cut to what was written;
+    other files, such as ``/dev/null``, are left as they are (``ftruncate``
+    fails on them).
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as stream:
+        yield stream
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            stream.truncate()
+
+
 def _write_rows(sink, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as CSV with LF line ends, to a path or an open text stream."""
-    opened = nullcontext(sink) if hasattr(sink, "write") else open(sink, "w", encoding="utf-8", newline="")
+    opened = nullcontext(sink) if hasattr(sink, "write") else _overwritten(sink)
     with opened as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
@@ -477,7 +505,8 @@ def _json_text(value, indent: str = "") -> str:
 
 def _write_json(path, payload) -> None:
     """Write ``payload`` as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(_json_text(payload) + "\n", encoding="utf-8")
+    with _overwritten(path) as stream:
+        stream.write(_json_text(payload) + "\n")
 
 
 def _read_json(path):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heartcbr.analytics import (
+    CHEST_PAIN_LABELS,
     CORRELATION_COLUMNS,
+    StatsTables,
     accuracy,
     dataset_stats,
     pearson_correlation,
@@ -148,6 +150,98 @@ def test_stats_internal_sums_hold(cases):
         == stats.disease_counts["positive"]
     )
     assert sum(stats.disease_by_age.values()) == stats.disease_counts["positive"]
+
+
+def five_pass_stats(cases, labels):
+    """dataset_stats as five Python passes over the cases, the form the C-level passes replaced."""
+    if len(cases) != len(labels):
+        raise ValueError(
+            f"alignment mismatch: {len(cases)} cases vs {len(labels)} labels"
+        )
+
+    male = sum(1 for c in cases if c.sex == 1)
+    gender_counts = {"male": male, "female": len(cases) - male}
+
+    positive = sum(1 for lab in labels if lab == 1)
+    disease_counts = {"positive": positive, "negative": len(cases) - positive}
+
+    male_pos = sum(1 for c, lab in zip(cases, labels) if lab == 1 and c.sex == 1)
+    female_pos = positive - male_pos
+    positives_by_gender = {
+        "male": {
+            "count": male_pos,
+            "percent": 100.0 * male_pos / positive if positive else 0.0,
+        },
+        "female": {
+            "count": female_pos,
+            "percent": 100.0 * female_pos / positive if positive else 0.0,
+        },
+    }
+
+    disease_by_age: dict[int, int] = {}
+    max_heart_rate_by_age: dict[int, int] = {}
+    for case, label in zip(cases, labels):
+        disease_by_age.setdefault(case.age, 0)
+        if label == 1:
+            disease_by_age[case.age] += 1
+        best = max_heart_rate_by_age.get(case.age)
+        if best is None or case.thalach > best:
+            max_heart_rate_by_age[case.age] = case.thalach
+
+    chest_pain_table = {code: {"positives": 0, "total": 0} for code in sorted(CHEST_PAIN_LABELS)}
+    for case, label in zip(cases, labels):
+        entry = chest_pain_table.setdefault(case.cp, {"positives": 0, "total": 0})
+        entry["total"] += 1
+        if label == 1:
+            entry["positives"] += 1
+
+    return StatsTables(
+        gender_counts=gender_counts,
+        disease_counts=disease_counts,
+        positives_by_gender=positives_by_gender,
+        disease_by_age=dict(sorted(disease_by_age.items())),
+        max_heart_rate_by_age=dict(sorted(max_heart_rate_by_age.items())),
+        chest_pain_table=chest_pain_table,
+    )
+
+
+@st.composite
+def stats_inputs(draw):
+    # Few ages and rates, so one age often holds tied highest rates; chest-pain
+    # codes past 0-3, which validation rejects, set on a valid case directly;
+    # and labels that equal 1 without being the int 1, or that are truthy but not 1.
+    base = make_case()
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(29, 33),
+                st.sampled_from([0, 1]),
+                st.integers(0, 7),
+                st.integers(140, 143),
+                st.sampled_from([0, 1, True, False, 1.0, 0.0, 2]),
+            ),
+            max_size=40,
+        )
+    )
+    cases = [dataclasses.replace(base, age=a, sex=s, cp=c, thalach=t) for a, s, c, t, _ in rows]
+    return cases, [label for *_, label in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stats_inputs())
+def test_stats_match_the_five_pass_form_by_repr(inputs):
+    cases, labels = inputs
+    assert repr(dataset_stats(cases, labels)) == repr(five_pass_stats(cases, labels))
+
+
+def test_stats_match_the_five_pass_form_on_empty_and_misaligned_input():
+    assert repr(dataset_stats([], [])) == repr(five_pass_stats([], []))
+    cases, labels = small_population()
+    with pytest.raises(ValueError) as raised:
+        dataset_stats(cases, labels[:-1])
+    with pytest.raises(ValueError) as expected:
+        five_pass_stats(cases, labels[:-1])
+    assert str(raised.value) == str(expected.value)
 
 
 # --- correlation -----------------------------------------------------------------

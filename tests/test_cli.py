@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from heartcbr.cases import FEATURE_NAMES, to_feature_vector
 from heartcbr.cli import main
 from heartcbr.dataset import CaseBase, parse_csv, read_case_base, split_sequential, write_case_base, write_cases
 from heartcbr.engine import SimilarityConfig, evaluate, predict
-from heartcbr.reports import prediction_to_dict
+from heartcbr.reports import prediction_to_dict, write_correlation_csv, write_json
 from heartcbr.scaling import fit_minmax, normalize, read_params, write_params
 from heartcbr.synthetic import write_synthetic_dataset
 
@@ -545,6 +547,36 @@ def test_run_all_emits_full_output_set(tmp_path, synthetic_csv):
     ]
     for name in expected:
         assert (tmp_path / name).exists(), name
+
+
+def test_run_all_rerun_into_its_out_dir_leaves_the_bytes_of_a_fresh_run(tmp_path, seed7_csv):
+    # Reports are overwritten in place and then cut to length: a rerun on
+    # less input leaves no tail of the longer files, and a report keeps its
+    # inode and mode, while a new one gets 0o666 less the umask.
+    def files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["run-all", "--input", str(seed7_csv(400)), "--out-dir", str(out)]) == 0
+    report = out / "evaluation_report.json"
+    report.chmod(0o600)
+    inode = report.stat().st_ino
+    longer = files(out)
+    assert main(["run-all", "--input", str(seed7_csv(60)), "--out-dir", str(out)]) == 0
+    umask = os.umask(0o002)
+    try:
+        assert main(["run-all", "--input", str(seed7_csv(60)), "--out-dir", str(fresh)]) == 0
+    finally:
+        os.umask(umask)
+    assert files(out) == files(fresh)
+    # Every file but the scaling export shrinks, so a missed cut would show.
+    shrunk = {name for name, data in files(fresh).items() if len(data) < len(longer[name])}
+    assert shrunk == set(longer) - {"normalization.json"}
+    assert (report.stat().st_ino, stat.S_IMODE(report.stat().st_mode)) == (inode, 0o600)
+    assert {stat.S_IMODE(path.stat().st_mode) for path in fresh.iterdir()} == {0o664}
+    # /dev/null is seekable, but cannot be cut to length.
+    write_json(os.devnull, read_json(fresh / "split_manifest.json"))
+    write_correlation_csv(os.devnull, [[None] * 14] * 14)
 
 
 # SHA-256 of the files run-all writes on synthetic sets (seed 7) of 1,025,
