@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter, contains, itemgetter
+from itertools import compress, count, repeat
+from operator import attrgetter, is_
 
 FEATURE_NAMES: tuple[str, ...] = (
     "age",
@@ -132,64 +133,125 @@ def _parse_float(field: str, value: object) -> float:
     return result
 
 
-_INT_FIELDS = tuple(name for name in FEATURE_NAMES if name != "oldpeak")
-_int_fields = itemgetter(*_INT_FIELDS)
-_codes = itemgetter(*map(_INT_FIELDS.index, CATEGORICAL_DOMAINS))
-_DOMAINS = tuple(CATEGORICAL_DOMAINS.values())
+BLOCK_ROWS = 256  # records the block branch converts at once, to bound its transient lists
+
+_INT_AT = tuple(at for at, name in enumerate(FEATURE_NAMES) if name != "oldpeak")
 _OLDPEAK_AT = FEATURE_NAMES.index("oldpeak")
+_DOMAINS_AT = tuple((FEATURE_NAMES.index(name), domain) for name, domain in CATEGORICAL_DOMAINS.items())
 # Exact types whose conversion by int()/float() gives what the per-field
 # parsers give, whenever it succeeds; bool and other subclasses are not here.
 _PLAIN_INT_TYPES = frozenset({str, int})
 _PLAIN_FLOAT_TYPES = frozenset({str, int, float})
-_PLAIN_TARGETS = {None: None, "": None, "0": 0, "1": 1, 0: 0, 1: 1}
 _PLAIN_TARGET_TYPES = frozenset({type(None), str, int})
+_PLAIN_TARGETS = {None: None, "": None, "0": 0, "1": 1, 0: 0, 1: 1}
+_STORED_TARGETS = {"0": 0, "1": 1, 0: 0, 1: 1}
+_REFUSED = object()  # a target the lookup does not take
 
 
-def _accepted(raw) -> Case | None:
-    """The case of a plain, in-domain ``raw`` record, or None when unsure.
-
-    A record is plain when ``raw`` is a dict, the 12 integer fields hold
-    ``str`` or ``int``, oldpeak holds ``str``, ``int`` or ``float``, and the
-    target is absent, None, ``""``, 0, 1, ``"0"`` or ``"1"``. Each field is
-    then converted by one C-level ``int()``/``float()`` call, and one
-    ``math.fsum`` over the integers steps aside for any that float() cannot
-    convert, so only the per-field parsers reject them. ``int(text)``
-    accepts a subset of what ``int(text.strip())`` accepts (U+001C-U+001F
-    padding is stripped but not ignored by ``int``) and returns the same
-    value, so every case returned here is the one the per-field parsers
-    build. Everything else, including every record that would warn or fail,
-    returns None.
-    """
-    # Only a plain dict answers `in` (the per-field missing-field check) and
-    # `[]` alike; a defaultdict, say, would fill in a missing field.
-    if type(raw) is not dict:
+def _plain_int(value) -> int | None:
+    """``int(value)`` for a plain value that float() can then convert, else None."""
+    if type(value) not in _PLAIN_INT_TYPES:
         return None
     try:
-        fields = _int_fields(raw)
-        peak = raw["oldpeak"]
-        target = raw.get(TARGET_NAME)
-        if not (
-            _PLAIN_INT_TYPES.issuperset(map(type, fields))
-            and type(peak) in _PLAIN_FLOAT_TYPES
-            and type(target) in _PLAIN_TARGET_TYPES
-        ):
-            return None
-        values = list(map(int, fields))
-        math.fsum(values)  # converts each value as float() does
-        peak = float(peak)
-        target = _PLAIN_TARGETS[target]
-    except (KeyError, ValueError, OverflowError):
-        # A missing field, text that int() or float() refuses, an int too big
-        # for a float (or a sum of them that overflows in fsum): the only
-        # errors the plain types above can raise.
+        result = int(value)
+        float(result)
+    except (ValueError, OverflowError):
         return None
-    if not (math.isfinite(peak) and peak >= 0 and all(map(contains, _DOMAINS, _codes(values)))):
+    return result
+
+
+def _plain_float(value) -> float | None:
+    """``float(value)`` for a plain value that converts to a finite, non-negative float, else None."""
+    if type(value) not in _PLAIN_FLOAT_TYPES:
         return None
-    values.insert(_OLDPEAK_AT, peak)
+    try:
+        result = float(value)
+    except (ValueError, OverflowError):
+        return None
+    return result if math.isfinite(result) and result >= 0.0 else None
+
+
+def _refusals(values, refused: set[int], marker=None) -> None:
+    """Add the positions of ``values`` that hold ``marker`` to ``refused``."""
+    refused.update(compress(count(), map(is_, values, repeat(marker))))
+
+
+def _ints(column, refused: set[int]) -> list:
+    try:
+        if _PLAIN_INT_TYPES.issuperset(map(type, column)):
+            values = list(map(int, column))
+            math.fsum(values)  # converts each value as float() does
+            return values
+    except (ValueError, OverflowError):
+        # Text that int() refuses, an int too big for a float, or a sum of
+        # them that overflows in fsum: the only errors plain types can raise.
+        pass
+    values = list(map(_plain_int, column))
+    _refusals(values, refused)
+    return values
+
+
+def _floats(column, refused: set[int]) -> list:
+    try:
+        if _PLAIN_FLOAT_TYPES.issuperset(map(type, column)):
+            values = list(map(float, column))
+            if all(map(math.isfinite, values)) and min(values) >= 0.0:
+                return values
+    except (ValueError, OverflowError):
+        pass
+    values = list(map(_plain_float, column))
+    _refusals(values, refused)
+    return values
+
+
+def accepted_block(fields, targets, *, stored: bool = False) -> tuple[list[Case], list[int]]:
+    """The cases of a block of records given column by column, and the rows it refuses.
+
+    ``fields`` holds 13 columns in FEATURE_NAMES order, ``targets`` the
+    target column (None where absent), each one value per record. A record
+    is plain when its 12 integer fields hold ``str`` or ``int``, oldpeak
+    holds ``str``, ``int`` or ``float``, and its target is None, ``""``, 0,
+    1, ``"0"`` or ``"1"`` (0 or 1 alone when ``stored``). Each column is
+    converted in one C-level pass: ``map(int, ...)`` and one ``math.fsum``,
+    which steps aside for any value that float() cannot convert, or
+    ``map(float, ...)``; then one domain test per categorical column and one
+    lookup per target. A column that fails its pass is converted value by
+    value, and only the records it cannot take are refused. ``int(text)``
+    accepts a subset of what ``int(text.strip())`` accepts (U+001C-U+001F
+    padding is stripped but not ignored by ``int``) and returns the same
+    value, so every case built here is the one the per-field parsers build.
+
+    Returns the cases in order, with an unspecified value at each refused
+    position, and the refused positions in ascending order: every record
+    that would warn or fail is among them, and only :func:`validate_case`
+    may decide what they hold.
+    """
+    refused: set[int] = set()
+    columns = [None] * N_FEATURES
+    for at in _INT_AT:
+        columns[at] = _ints(fields[at], refused)
+    columns[_OLDPEAK_AT] = _floats(fields[_OLDPEAK_AT], refused)
+    for at, domain in _DOMAINS_AT:
+        codes = columns[at]
+        if not domain.issuperset(codes):
+            refused.update(row for row, code in enumerate(codes) if code not in domain)
+    table = _STORED_TARGETS if stored else _PLAIN_TARGETS
+    if _PLAIN_TARGET_TYPES.issuperset(map(type, targets)):
+        solved = list(map(table.get, targets, repeat(_REFUSED)))
+    else:
+        solved = [table.get(value, _REFUSED) if type(value) in _PLAIN_TARGET_TYPES else _REFUSED for value in targets]
+    if _REFUSED in solved:
+        _refusals(solved, refused, _REFUSED)
     # Built through the dataclass __init__: filling __dict__ directly is about
     # 1.5 us faster, but it gives every case a dict of its own, which costs
     # 64 bytes a case and makes each attribute read from Python slower.
-    return Case(*values, target)
+    return list(map(Case, *columns, solved)), sorted(refused)
+
+
+def check_mode(mode: str) -> None:
+    """Raise ValueError unless ``mode`` is one of VALIDATION_MODES."""
+    if mode not in VALIDATION_MODES:
+        raise ValueError(f"unknown validation mode {mode!r}")
 
 
 def validate_case(raw, mode: str = "lenient") -> tuple[Case, list[str]]:
@@ -206,18 +268,11 @@ def validate_case(raw, mode: str = "lenient") -> tuple[Case, list[str]]:
     integers that float() cannot convert, out-of-domain values (strict) or
     negative oldpeak.
 
-    A fast branch converts a plain, in-domain record in one C-level pass
-    (``_accepted``). It may only accept: on any exception or doubt it
-    steps aside, and the per-field parsers below decide. They alone warn
-    or reject, so the accepted records, their values and types, the
-    warnings and every error message are those of the per-field path.
+    The per-field parsers below are the rules. The block branch that reads
+    csv files (:func:`accepted_block`) may only accept what they accept, and
+    every row it refuses is sent here, one at a time, in file order.
     """
-    if mode not in VALIDATION_MODES:
-        raise ValueError(f"unknown validation mode {mode!r}")
-    case = _accepted(raw)
-    if case is not None:
-        return case, []
-
+    check_mode(mode)
     missing = [name for name in FEATURE_NAMES if name not in raw]
     if missing:
         raise CaseValidationError(f"missing fields: {', '.join(missing)}")

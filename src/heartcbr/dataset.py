@@ -31,12 +31,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .cases import (
+    BLOCK_ROWS,
     FEATURE_NAMES,
     N_FEATURES,
     TARGET_NAME,
     Case,
     CaseValidationError,
     _feature_values,
+    accepted_block,
+    check_mode,
     to_feature_vector,
     validate_case,
 )
@@ -300,13 +303,16 @@ def _resolve_header(raw_header: list[str], *, allow_case_id: bool) -> dict[str, 
     return positions
 
 
-def _records(source, *, allow_case_id: bool) -> Iterator:
-    """Yield the header's column positions, then ``(line number, fields by name)``.
+def _blocks(source, *, allow_case_id: bool) -> Iterator:
+    """Yield the header's column positions, then ``(line numbers, rows)`` of up to BLOCK_ROWS rows.
 
     ``source`` is a path, opened as UTF-8, or an open text stream, left open.
     Blank rows are skipped; a row of another width than the header raises
-    :class:`DatasetError` citing its 1-based file line. Close the generator
-    (``contextlib.closing``) to release a file opened here.
+    :class:`DatasetError` citing its 1-based file line, once the rows before
+    it have been yielded, so a fault among them is found first. The two lists
+    of a block are emptied in place when the next block is asked for, so the
+    caller's names for them do not keep a second block alive while it fills.
+    Close the generator (``contextlib.closing``) to release a file opened here.
     """
     if isinstance(source, (str, Path)):
         opened = open(source, "r", encoding="utf-8", newline="")
@@ -320,43 +326,73 @@ def _records(source, *, allow_case_id: bool) -> Iterator:
             raw_header = next(reader)
         except StopIteration:
             raise DatasetError("empty file: no header row") from None
-        positions = _resolve_header(raw_header, allow_case_id=allow_case_id)
-        yield positions
+        yield _resolve_header(raw_header, allow_case_id=allow_case_id)
         width = len(raw_header)
-        names = tuple(positions)
-        # The header has at least the 13 attribute columns, so the getter
-        # always returns a tuple.
-        cells = itemgetter(*positions.values())
+        lines: list[int] = []
+        rows: list[list[str]] = []
         for line_no, row in enumerate(reader, start=2):
             if not any(map(str.strip, row)):
                 continue
             if len(row) != width:
-                raise DatasetError(
-                    f"line {line_no}: expected {width} fields, found {len(row)}"
-                )
-            yield line_no, dict(zip(names, cells(row)))
+                if rows:
+                    yield lines, rows
+                raise DatasetError(f"line {line_no}: expected {width} fields, found {len(row)}")
+            lines.append(line_no)
+            rows.append(row)
+            if len(rows) == BLOCK_ROWS:
+                yield lines, rows
+                lines.clear()
+                rows.clear()
+        if rows:
+            yield lines, rows
+
+
+def _validated(lines, rows, positions, mode: str, warning_counts: Counter, *, stored: bool = False) -> list[Case]:
+    """The cases of a block of csv rows, raising :class:`DatasetError` at the first fault in file order.
+
+    The block branch (:func:`accepted_block`) converts the rows column by
+    column. Each row it refuses goes through :func:`validate_case` on its
+    own, in file order, which alone warns (counted by field into
+    ``warning_counts``) or rejects. A ``stored`` row must hold a target.
+    """
+    check_mode(mode)
+    columns = list(zip(*rows))
+    fields = [columns[positions[name]] for name in FEATURE_NAMES]
+    at = positions.get(TARGET_NAME)
+    targets = (None,) * len(rows) if at is None else columns[at]
+    cases, refused = accepted_block(fields, targets, stored=stored)
+    for row in refused:
+        raw = {name: rows[row][column] for name, column in positions.items()}
+        try:
+            case, warnings = validate_case(raw, mode)
+        except CaseValidationError as exc:
+            raise DatasetError(f"line {lines[row]}: {exc}") from exc
+        if stored and case.target is None:
+            raise DatasetError(f"line {lines[row]}: stored case missing target")
+        for message in warnings:
+            warning_counts[message.split(":", 1)[0]] += 1
+        cases[row] = case
+    return cases
 
 
 def parse_csv(source, mode: str = "lenient") -> list[Case]:
     """Read a heart-disease CSV into cases, preserving file order.
 
     The first row must be a header with the 13 attribute columns (aliases
-    accepted, case-insensitive); a target column is optional. Row-level
-    failures raise :class:`DatasetError` citing the 1-based file line.
-    Lenient-mode domain warnings are aggregated into one log message.
+    accepted, case-insensitive); a target column is optional. Rows are read
+    and validated in blocks of at most BLOCK_ROWS rows, column by column; a
+    row the block branch refuses is validated on its own, so one odd row
+    never slows its block. Row-level failures raise :class:`DatasetError`
+    citing the 1-based file line; the first fault in file order wins, a row
+    of the wrong width included. Lenient-mode domain warnings are
+    aggregated into one log message.
     """
     cases: list[Case] = []
     warning_counts: Counter[str] = Counter()
-    with closing(_records(source, allow_case_id=False)) as records:
-        next(records)
-        for line_no, raw in records:
-            try:
-                case, warnings = validate_case(raw, mode)
-            except CaseValidationError as exc:
-                raise DatasetError(f"line {line_no}: {exc}") from exc
-            for message in warnings:
-                warning_counts[message.split(":", 1)[0]] += 1
-            cases.append(case)
+    with closing(_blocks(source, allow_case_id=False)) as blocks:
+        positions = next(blocks)
+        for lines, rows in blocks:
+            cases += _validated(lines, rows, positions, mode, warning_counts)
 
     if warning_counts:
         logger.warning(
@@ -524,29 +560,45 @@ def write_case_base(case_base: CaseBase, sink) -> None:
     _write_rows(sink, (CASE_ID_COLUMN,) + CANONICAL_HEADER, rows)
 
 
+def _case_ids(texts: Sequence[str], last: int) -> tuple[list[int], str | None]:
+    """The case ids that follow ``last`` in order, up to the first fault, and that fault (None if none)."""
+    ids = []
+    for text in texts:
+        try:
+            case_id = int(text)
+        except ValueError:
+            return ids, "non-integer case_id"
+        if not last < case_id < 2**63:
+            return ids, _id_fault(case_id, last)
+        ids.append(case_id)
+        last = case_id
+    return ids, None
+
+
 def read_case_base(source) -> CaseBase:
-    """Reload a case base written by :func:`write_case_base`, losslessly."""
-    entries: list[tuple[int, Case]] = []
-    with closing(_records(source, allow_case_id=True)) as records:
-        positions = next(records)
+    """Reload a case base written by :func:`write_case_base`, losslessly.
+
+    Rows are validated in lenient mode, in blocks as :func:`parse_csv`
+    reads them; each must hold a target and a case id above the one before
+    it, below 2**63. The first fault in file order raises
+    :class:`DatasetError` citing its line; within a row, the case id is
+    checked first.
+    """
+    ids: list[int] = []
+    cases: list[Case] = []
+    with closing(_blocks(source, allow_case_id=True)) as blocks:
+        positions = next(blocks)
         if CASE_ID_COLUMN not in positions:
             raise DatasetError("missing case_id column")
         if TARGET_NAME not in positions:
             raise DatasetError("missing target column")
-        last = -1
-        for line_no, raw in records:
-            try:
-                case_id = int(raw.pop(CASE_ID_COLUMN))
-            except ValueError:
-                raise DatasetError(f"line {line_no}: non-integer case_id") from None
-            if not last < case_id < 2**63:
-                raise DatasetError(f"line {line_no}: {_id_fault(case_id, last)}")
-            last = case_id
-            try:
-                case, _ = validate_case(raw, "lenient")
-            except CaseValidationError as exc:
-                raise DatasetError(f"line {line_no}: {exc}") from exc
-            if case.target is None:
-                raise DatasetError(f"line {line_no}: stored case missing target")
-            entries.append((case_id, case))
-    return CaseBase(entries)
+        at = positions[CASE_ID_COLUMN]
+        for lines, rows in blocks:
+            block_ids, fault = _case_ids([row[at] for row in rows], ids[-1] if ids else -1)
+            valid = len(block_ids)
+            if valid:
+                cases += _validated(lines[:valid], rows[:valid], positions, "lenient", Counter(), stored=True)
+            if fault is not None:
+                raise DatasetError(f"line {lines[valid]}: {fault}")
+            ids += block_ids
+    return CaseBase(zip(ids, cases))

@@ -1,14 +1,28 @@
 import csv
 import io
+import logging
 import math
+from collections import Counter
+from contextlib import closing, nullcontext
 from fractions import Fraction
+from operator import itemgetter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heartcbr import dataset
-from heartcbr.cases import FEATURE_NAMES, Case, to_feature_vector, validate_case
+from heartcbr import cases as cases_module, dataset
+from heartcbr.cases import (
+    BLOCK_ROWS,
+    FEATURE_NAMES,
+    VALIDATION_MODES,
+    Case,
+    CaseValidationError,
+    to_feature_vector,
+    validate_case,
+)
 from heartcbr.dataset import (
     CANONICAL_HEADER,
     CaseBase,
@@ -21,7 +35,10 @@ from heartcbr.dataset import (
     write_cases,
 )
 
+from heartcbr.synthetic import generate_rows
+
 from conftest import cases_strategy, in_domain_raw, make_case
+from test_cases import _oracle_validate_case
 
 HEADER = "age,sex,cp,trestbps,chol,fbs,restecg,thalach,exang,oldpeak,slope,ca,thal,target"
 ROW = "54,1,0,130,250,0,1,150,0,1.0,1,0,2,1"
@@ -494,3 +511,242 @@ def test_a_base_built_in_one_batch_equals_one_grown_by_add(start):
     # Reads with no add between them hand out the very same views.
     views = base.arrays() + base.distinct()
     assert all(a is b for a, b in zip(views, base.arrays() + base.distinct()))
+
+
+# --- block validation against the row-by-row loop --------------------------
+#
+# parse_csv and read_case_base validate blocks of rows column by column. They
+# must read every file as the row-by-row loop below did: a verbatim copy of
+# the loop that validated one record at a time, with validate_case replaced
+# by the verbatim per-field validator that test_cases keeps. The same cases,
+# field types and reprs, the same logged warning, and the same first fault.
+
+
+def _oracle_records(source, *, allow_case_id):
+    if isinstance(source, (str, Path)):
+        opened = open(source, "r", encoding="utf-8", newline="")
+    elif isinstance(source, io.TextIOBase):
+        opened = nullcontext(source)
+    else:
+        raise TypeError(f"unsupported source type {type(source)!r}")
+    with opened as stream:
+        reader = csv.reader(stream)
+        try:
+            raw_header = next(reader)
+        except StopIteration:
+            raise DatasetError("empty file: no header row") from None
+        positions = dataset._resolve_header(raw_header, allow_case_id=allow_case_id)
+        yield positions
+        width = len(raw_header)
+        names = tuple(positions)
+        cells = itemgetter(*positions.values())
+        for line_no, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != width:
+                raise DatasetError(
+                    f"line {line_no}: expected {width} fields, found {len(row)}"
+                )
+            yield line_no, dict(zip(names, cells(row)))
+
+
+def _oracle_parse_csv(source, mode="lenient"):
+    cases = []
+    warning_counts = Counter()
+    with closing(_oracle_records(source, allow_case_id=False)) as records:
+        next(records)
+        for line_no, raw in records:
+            try:
+                case, warnings = _oracle_validate_case(raw, mode)
+            except CaseValidationError as exc:
+                raise DatasetError(f"line {line_no}: {exc}") from exc
+            for message in warnings:
+                warning_counts[message.split(":", 1)[0]] += 1
+            cases.append(case)
+
+    if warning_counts:
+        dataset.logger.warning(
+            "accepted %d out-of-domain values in lenient mode: %s",
+            sum(warning_counts.values()),
+            dict(warning_counts),
+        )
+    return cases
+
+
+def _oracle_read_case_base(source):
+    entries = []
+    with closing(_oracle_records(source, allow_case_id=True)) as records:
+        positions = next(records)
+        if "case_id" not in positions:
+            raise DatasetError("missing case_id column")
+        if "target" not in positions:
+            raise DatasetError("missing target column")
+        last = -1
+        for line_no, raw in records:
+            try:
+                case_id = int(raw.pop("case_id"))
+            except ValueError:
+                raise DatasetError(f"line {line_no}: non-integer case_id") from None
+            if not last < case_id < 2**63:
+                raise DatasetError(f"line {line_no}: {dataset._id_fault(case_id, last)}")
+            last = case_id
+            try:
+                case, _ = _oracle_validate_case(raw, "lenient")
+            except CaseValidationError as exc:
+                raise DatasetError(f"line {line_no}: {exc}") from exc
+            if case.target is None:
+                raise DatasetError(f"line {line_no}: stored case missing target")
+            entries.append((case_id, case))
+    return CaseBase(entries)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def emit(self, record):
+        self.seen.append((record.name, record.levelname, record.getMessage()))
+
+
+def _read_outcome(read, text, *args):
+    """What ``read`` makes of ``text``: each case's field types and reprs and the log, or the error."""
+    handler = _Records()
+    dataset.logger.addHandler(handler)
+    try:
+        result = read(io.StringIO(text), *args)
+    except Exception as exc:
+        return ("raises", type(exc), str(exc), handler.seen)
+    finally:
+        dataset.logger.removeHandler(handler)
+    ids = result.ids() if isinstance(result, CaseBase) else None
+    cases = result.cases() if isinstance(result, CaseBase) else result
+    fields = [[(type(value), repr(value)) for value in vars(case).values()] for case in cases]
+    return ("accepts", ids, fields, handler.seen)
+
+
+# Edits of one row: (column, text). Values the block branch must pass to the
+# per-field parsers, which accept them ("54.0", U+001C padding, a sum of two
+# 10**308 in one column that overflows fsum) or reject them; codes that warn
+# or fail; and faults of the row itself.
+ROW_EDITS = [
+    ("age", " 54 "), ("age", "54.0"), ("chol", "1_0"), ("age", "\x1c54\x1f"), ("age", "٥٤"),
+    ("age", str(2**53 + 1)), ("trestbps", str(10**400)), ("thalach", "1" * 5000),
+    ("chol", str(10**308)), ("chol", str(10**308)), ("age", "5.5"), ("chol", "abc"), ("sex", "2"),
+    ("oldpeak", "-1.0"), ("oldpeak", "nan"), ("oldpeak", "1e400"), ("oldpeak", " 0.5"),
+    ("ca", "4"), ("thal", "0"), ("ca", "7"), ("target", " 1 "), ("target", "2"), ("target", ""),
+    ("case_id", "x"), ("case_id", "dup"), ("case_id", str(2**63)),
+    ("width", "short"), ("width", "long"), ("blank", ""), ("blank", " , ,\t"),
+]
+FILLER = [
+    [repr(value) if name == "oldpeak" else str(value) for name, value in row.items()]
+    for row in generate_rows(40, seed=3)
+]
+
+
+@st.composite
+def edited_files(draw):
+    """(case-base text, csv text) sharing rows: edits at the first and last row and around block ends."""
+    block = draw(st.sampled_from([1, 2, 3, BLOCK_ROWS]))
+    n = draw(st.integers(1, 2 * block + 2))
+    spots = {0, n - 1, block - 1, block, 2 * block - 1, 2 * block} & set(range(n))
+    spots |= set(draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    edits = {spot: draw(st.lists(st.sampled_from(ROW_EDITS), max_size=2)) for spot in spots}
+    edits = {spot: chosen for spot, chosen in edits.items() if chosen}
+    with_target = draw(st.integers(0, 9)) < 9  # shrinks to a file with a target column
+    names = list(CANONICAL_HEADER) if with_target else list(FEATURE_NAMES)
+    stored, plain = [",".join(["case_id", *names])], [",".join(names)]
+    case_id = -1
+    for spot in range(n):
+        fields = dict(zip(CANONICAL_HEADER, FILLER[draw(st.integers(0, len(FILLER) - 1))]))
+        case_id += draw(st.integers(1, 2))
+        fields["case_id"] = str(case_id)
+        width = 0
+        for column, text in edits.get(spot, []):
+            if column == "blank":
+                stored.append(text)
+                plain.append(text)
+            elif column == "width":
+                width = -1 if text == "short" else 1
+            elif text == "dup":
+                fields["case_id"] = str(max(case_id - 1, 0))
+            else:
+                fields[column] = text
+        row = [fields[name] for name in names]
+        row = row[:width] if width < 0 else row + ["0"] * width
+        stored.append(",".join([fields["case_id"], *row]))
+        plain.append(",".join(row))
+    return block, "\n".join(stored) + "\n", "\n".join(plain) + "\n"
+
+
+@settings(max_examples=250, deadline=None)
+@given(files=edited_files())
+def test_files_read_as_the_row_by_row_loop_read_them(files):
+    block, stored, plain = files
+    with mock.patch.object(dataset, "BLOCK_ROWS", block):
+        for mode in VALIDATION_MODES:
+            assert _read_outcome(parse_csv, plain, mode) == _read_outcome(_oracle_parse_csv, plain, mode)
+        assert _read_outcome(read_case_base, stored) == _read_outcome(_oracle_read_case_base, stored)
+
+
+
+BAD_CHOL = ROW.replace("250", "abc")
+BLANK_TARGET = ROW[:-1]
+
+
+@pytest.mark.parametrize("block", [1, 3, BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "read, rows, message",
+    [
+        (parse_csv, [ROW, BAD_CHOL, "54,1,0"], "line 3: chol: non-numeric value 'abc'"),
+        (parse_csv, [ROW, "54,1,0", BAD_CHOL], "line 3: expected 14 fields, found 3"),
+        (parse_csv, [ROW.replace(",0,2,1", ",4,2,1"), "54,1,0"], "line 3: expected 14 fields, found 3"),
+        (read_case_base, [f"0,{ROW}", f"1,{BAD_CHOL}", f"1,{ROW}"], "line 3: chol: non-numeric value 'abc'"),
+        (read_case_base, [f"0,{ROW}", f"0,{ROW}", f"1,{BAD_CHOL}"], "line 3: duplicate case_id 0"),
+        (read_case_base, [f"0,{ROW}", f"x,{BAD_CHOL}"], "line 3: non-integer case_id"),
+        (read_case_base, [f"0,{BLANK_TARGET}", f"1,{BAD_CHOL}"], "line 2: stored case missing target"),
+        (read_case_base, [f"0,{ROW}", f"1,{BAD_CHOL[:-1]}"], "line 3: chol: non-numeric value 'abc'"),
+        (read_case_base, [f"0,{ROW}", f"1,{ROW}", "2,54"], "line 4: expected 15 fields, found 2"),
+    ],
+)
+def test_the_first_fault_in_file_order_wins(read, rows, message, block):
+    header = HEADER if read is parse_csv else f"case_id,{HEADER}"
+    text = "\n".join([header, *rows]) + "\n"
+    with mock.patch.object(dataset, "BLOCK_ROWS", block):
+        outcome = _read_outcome(read, text)
+    oracle = _oracle_parse_csv if read is parse_csv else _oracle_read_case_base
+    assert outcome == _read_outcome(oracle, text)
+    assert outcome[:3] == ("raises", DatasetError, message)
+
+@pytest.mark.parametrize("read", [parse_csv, read_case_base])
+def test_only_the_rows_the_block_branch_refuses_reach_the_per_field_parsers(read, monkeypatch):
+    # 1,000 rows, every 33rd with a ca or thal code outside its domain: those
+    # rows alone go through validate_case, one at a time, in file order.
+    rows = generate_rows(1000, seed=13)
+    odd = list(range(5, 1000, 33))
+    for at in odd:
+        rows[at][["ca", "thal"][at % 2]] = [4, 0][at % 2]
+    text = io.StringIO()
+    base = CaseBase.from_cases(Case(**row) for row in rows)
+    if read is read_case_base:
+        write_case_base(base, text)
+    else:
+        write_cases(base.cases(), text)
+    refused, per_field = [], []
+    monkeypatch.setattr(dataset, "validate_case", lambda raw, mode: refused.append(raw) or validate_case(raw, mode))
+    parse_float = cases_module._parse_float
+    monkeypatch.setattr(cases_module, "_parse_float", lambda *args: per_field.append(args) or parse_float(*args))
+    result = read(io.StringIO(text.getvalue()))
+    cases = result.cases() if read is read_case_base else result
+    assert cases == base.cases()
+    expected = [dict(zip(CANONICAL_HEADER, dataset._case_fields(base.cases()[at]))) for at in odd]
+    assert [{name: raw[name] for name in CANONICAL_HEADER} for raw in refused] == expected
+    assert len(per_field) == len(odd)
+
+
+def test_an_unknown_mode_raises_at_the_first_data_row():
+    with pytest.raises(ValueError, match="^unknown validation mode 'lax'$"):
+        parse_csv(io.StringIO(f"{HEADER}\n{ROW}\n"), "lax")
+    assert parse_csv(io.StringIO(f"{HEADER}\n\n"), "lax") == []
+    with pytest.raises(DatasetError, match="^line 2: expected 14 fields, found 3$"):
+        parse_csv(io.StringIO(f"{HEADER}\n54,1,0\n{ROW}\n"), "lax")
