@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import attrgetter, is_
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -135,113 +135,53 @@ def _parse_float(field: str, value: object) -> float:
 
 BLOCK_ROWS = 256  # records the block branch converts at once, to bound its transient lists
 
-_INT_AT = tuple(at for at, name in enumerate(FEATURE_NAMES) if name != "oldpeak")
+_CONVERTERS = tuple(float if name == "oldpeak" else int for name in FEATURE_NAMES)
 _OLDPEAK_AT = FEATURE_NAMES.index("oldpeak")
 _DOMAINS_AT = tuple((FEATURE_NAMES.index(name), domain) for name, domain in CATEGORICAL_DOMAINS.items())
-# Exact types whose conversion by int()/float() gives what the per-field
-# parsers give, whenever it succeeds; bool and other subclasses are not here.
-_PLAIN_INT_TYPES = frozenset({str, int})
-_PLAIN_FLOAT_TYPES = frozenset({str, int, float})
-_PLAIN_TARGET_TYPES = frozenset({type(None), str, int})
-_PLAIN_TARGETS = {None: None, "": None, "0": 0, "1": 1, 0: 0, 1: 1}
-_STORED_TARGETS = {"0": 0, "1": 1, 0: 0, 1: 1}
+_TARGETS = {None: None, "": None, "0": 0, "1": 1}
+_STORED_TARGETS = {"0": 0, "1": 1}
 _REFUSED = object()  # a target the lookup does not take
 
 
-def _plain_int(value) -> int | None:
-    """``int(value)`` for a plain value that float() can then convert, else None."""
-    if type(value) not in _PLAIN_INT_TYPES:
-        return None
-    try:
-        result = int(value)
-        float(result)
-    except (ValueError, OverflowError):
-        return None
-    return result
-
-
-def _plain_float(value) -> float | None:
-    """``float(value)`` for a plain value that converts to a finite, non-negative float, else None."""
-    if type(value) not in _PLAIN_FLOAT_TYPES:
-        return None
-    try:
-        result = float(value)
-    except (ValueError, OverflowError):
-        return None
-    return result if math.isfinite(result) and result >= 0.0 else None
-
-
-def _refusals(values, refused: set[int], marker=None) -> None:
-    """Add the positions of ``values`` that hold ``marker`` to ``refused``."""
-    refused.update(compress(count(), map(is_, values, repeat(marker))))
-
-
-def _ints(column, refused: set[int]) -> list:
-    try:
-        if _PLAIN_INT_TYPES.issuperset(map(type, column)):
-            values = list(map(int, column))
-            math.fsum(values)  # converts each value as float() does
-            return values
-    except (ValueError, OverflowError):
-        # Text that int() refuses, an int too big for a float, or a sum of
-        # them that overflows in fsum: the only errors plain types can raise.
-        pass
-    values = list(map(_plain_int, column))
-    _refusals(values, refused)
-    return values
-
-
-def _floats(column, refused: set[int]) -> list:
-    try:
-        if _PLAIN_FLOAT_TYPES.issuperset(map(type, column)):
-            values = list(map(float, column))
-            if all(map(math.isfinite, values)) and min(values) >= 0.0:
-                return values
-    except (ValueError, OverflowError):
-        pass
-    values = list(map(_plain_float, column))
-    _refusals(values, refused)
-    return values
-
-
 def accepted_block(fields, targets, *, stored: bool = False) -> tuple[list[Case], list[int]]:
-    """The cases of a block of records given column by column, and the rows it refuses.
+    """The cases of a block of csv records given column by column, and the rows it refuses.
 
-    ``fields`` holds 13 columns in FEATURE_NAMES order, ``targets`` the
-    target column (None where absent), each one value per record. A record
-    is plain when its 12 integer fields hold ``str`` or ``int``, oldpeak
-    holds ``str``, ``int`` or ``float``, and its target is None, ``""``, 0,
-    1, ``"0"`` or ``"1"`` (0 or 1 alone when ``stored``). Each column is
-    converted in one C-level pass: ``map(int, ...)`` and one ``math.fsum``,
-    which steps aside for any value that float() cannot convert, or
-    ``map(float, ...)``; then one domain test per categorical column and one
-    lookup per target. A column that fails its pass is converted value by
-    value, and only the records it cannot take are refused. ``int(text)``
-    accepts a subset of what ``int(text.strip())`` accepts (U+001C-U+001F
-    padding is stripped but not ignored by ``int``) and returns the same
-    value, so every case built here is the one the per-field parsers build.
+    ``fields`` holds 13 columns of csv text in FEATURE_NAMES order,
+    ``targets`` the target column (None where the file has none), each one
+    value per record. Each column is converted in one C-level pass,
+    ``map(int, ...)`` or ``map(float, ...)`` for oldpeak, and one
+    ``math.fsum`` over the block converts every value as float() does. If
+    any conversion fails, or an oldpeak is not finite and non-negative,
+    every record of the block is refused. Otherwise a record is refused on
+    its own for a categorical code outside its domain or a target other
+    than ``"0"`` or ``"1"`` (or, unless ``stored``, blank or absent).
+    ``int(text)`` accepts a subset of what ``int(text.strip())`` accepts
+    (U+001C-U+001F padding is stripped but not ignored by ``int``) and
+    returns the same value, so every case built here is the one the
+    per-field parsers build.
 
     Returns the cases in order, with an unspecified value at each refused
     position, and the refused positions in ascending order: every record
     that would warn or fail is among them, and only :func:`validate_case`
     may decide what they hold.
     """
+    try:
+        columns = [list(map(convert, column)) for convert, column in zip(_CONVERTERS, fields)]
+        # Raises for an int past the float range or a sum past it (two 10**308
+        # in one block); a nan or inf oldpeak makes the sum non-finite.
+        converted = math.isfinite(math.fsum(chain.from_iterable(columns)))
+    except (ValueError, OverflowError):
+        converted = False
+    if not (converted and min(columns[_OLDPEAK_AT]) >= 0.0):
+        return [None] * len(targets), list(range(len(targets)))
     refused: set[int] = set()
-    columns = [None] * N_FEATURES
-    for at in _INT_AT:
-        columns[at] = _ints(fields[at], refused)
-    columns[_OLDPEAK_AT] = _floats(fields[_OLDPEAK_AT], refused)
     for at, domain in _DOMAINS_AT:
         codes = columns[at]
         if not domain.issuperset(codes):
             refused.update(row for row, code in enumerate(codes) if code not in domain)
-    table = _STORED_TARGETS if stored else _PLAIN_TARGETS
-    if _PLAIN_TARGET_TYPES.issuperset(map(type, targets)):
-        solved = list(map(table.get, targets, repeat(_REFUSED)))
-    else:
-        solved = [table.get(value, _REFUSED) if type(value) in _PLAIN_TARGET_TYPES else _REFUSED for value in targets]
+    solved = list(map((_STORED_TARGETS if stored else _TARGETS).get, targets, repeat(_REFUSED)))
     if _REFUSED in solved:
-        _refusals(solved, refused, _REFUSED)
+        refused.update(compress(count(), map(is_, solved, repeat(_REFUSED))))
     # Built through the dataclass __init__: filling __dict__ directly is about
     # 1.5 us faster, but it gives every case a dict of its own, which costs
     # 64 bytes a case and makes each attribute read from Python slower.

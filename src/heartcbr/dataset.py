@@ -285,10 +285,14 @@ class SplitResult:
 
 
 def _resolve_header(raw_header: list[str], *, allow_case_id: bool) -> dict[str, int]:
-    """Map canonical column names to positions, applying aliases."""
+    """Map canonical column names to positions, applying aliases.
+
+    One byte-order mark (U+FEFF) is dropped from the start of the first
+    name, as Excel's "CSV UTF-8" writes one; anywhere else it is kept.
+    """
     positions: dict[str, int] = {}
     for idx, raw_name in enumerate(raw_header):
-        name = raw_name.strip().lower()
+        name = (raw_name if idx else raw_name.removeprefix("\ufeff")).strip().lower()
         name = HEADER_ALIASES.get(name, name)
         if name == CASE_ID_COLUMN and allow_case_id:
             pass
@@ -350,10 +354,12 @@ def _blocks(source, *, allow_case_id: bool) -> Iterator:
 def _validated(lines, rows, positions, mode: str, warning_counts: Counter, *, stored: bool = False) -> list[Case]:
     """The cases of a block of csv rows, raising :class:`DatasetError` at the first fault in file order.
 
-    The block branch (:func:`accepted_block`) converts the rows column by
-    column. Each row it refuses goes through :func:`validate_case` on its
-    own, in file order, which alone warns (counted by field into
-    ``warning_counts``) or rejects. A ``stored`` row must hold a target.
+    The block branch (:func:`accepted_block`) converts the csv text column
+    by column: a value it cannot convert refuses the whole block, a domain
+    code or target only its own row. Each refused row goes through
+    :func:`validate_case` on its own, in file order, which alone warns
+    (counted by field into ``warning_counts``) or rejects. A ``stored`` row
+    must hold a target.
     """
     check_mode(mode)
     columns = list(zip(*rows))
@@ -379,13 +385,15 @@ def parse_csv(source, mode: str = "lenient") -> list[Case]:
     """Read a heart-disease CSV into cases, preserving file order.
 
     The first row must be a header with the 13 attribute columns (aliases
-    accepted, case-insensitive); a target column is optional. Rows are read
-    and validated in blocks of at most BLOCK_ROWS rows, column by column; a
-    row the block branch refuses is validated on its own, so one odd row
-    never slows its block. Row-level failures raise :class:`DatasetError`
-    citing the 1-based file line; the first fault in file order wins, a row
-    of the wrong width included. Lenient-mode domain warnings are
-    aggregated into one log message.
+    accepted, case-insensitive, after one leading byte-order mark); a
+    target column is optional. Rows are read as csv text and validated in
+    blocks of at most BLOCK_ROWS rows, column by column. A value the block
+    branch cannot convert sends its whole block to :func:`validate_case`
+    row by row; an out-of-domain code or a target other than "0", "1" or
+    blank sends only its own row. Row-level failures raise
+    :class:`DatasetError` citing the 1-based file line; the first fault in
+    file order wins, a row of the wrong width included. Lenient-mode domain
+    warnings are aggregated into one log message.
     """
     cases: list[Case] = []
     warning_counts: Counter[str] = Counter()

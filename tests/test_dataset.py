@@ -118,6 +118,32 @@ def test_header_aliases_and_case_insensitivity():
     assert cases[0].trestbps == 130
 
 
+@pytest.mark.parametrize("read", [parse_csv, read_case_base])
+def test_a_leading_byte_order_mark_is_dropped(read, tmp_path):
+    text = io.StringIO()
+    base = CaseBase.from_cases(Case(**row) for row in generate_rows(300, seed=5))
+    if read is read_case_base:
+        write_case_base(base, text)
+    else:
+        write_cases(base.cases(), text)
+    plain = read(io.StringIO(text.getvalue()))
+    marked = "\ufeff" + text.getvalue()
+    (tmp_path / "marked.csv").write_text(marked, encoding="utf-8")
+    for source in (tmp_path / "marked.csv", str(tmp_path / "marked.csv"), io.StringIO(marked)):
+        result = read(source)
+        assert result == plain
+        if read is read_case_base:
+            assert result.ids() == plain.ids()
+
+
+@pytest.mark.parametrize("column, name", [("age", "\ufeff\ufeffage"), ("age", " \ufeffage"), ("sex", "\ufeffsex")])
+def test_a_byte_order_mark_elsewhere_is_an_unknown_column(column, name):
+    header = HEADER.replace(column, name, 1)
+    with pytest.raises(DatasetError) as exc:
+        parse_csv(io.StringIO(f"{header}\n{ROW}\n"))
+    assert str(exc.value) == f"unknown column {name!r}"
+
+
 def test_target_column_optional():
     header = HEADER.rsplit(",", 1)[0]
     row = ROW.rsplit(",", 1)[0]
@@ -718,30 +744,52 @@ def test_the_first_fault_in_file_order_wins(read, rows, message, block):
     assert outcome == _read_outcome(oracle, text)
     assert outcome[:3] == ("raises", DatasetError, message)
 
-@pytest.mark.parametrize("read", [parse_csv, read_case_base])
-def test_only_the_rows_the_block_branch_refuses_reach_the_per_field_parsers(read, monkeypatch):
-    # 1,000 rows, every 33rd with a ca or thal code outside its domain: those
-    # rows alone go through validate_case, one at a time, in file order.
+@pytest.mark.parametrize(
+    "read, block, edit",
+    [
+        (parse_csv, BLOCK_ROWS, "domain"),
+        (read_case_base, BLOCK_ROWS, "domain"),
+        (parse_csv, 16, "text"),
+        (read_case_base, 16, "text"),
+    ],
+    ids=["parse_csv", "read_case_base", "parse_csv-text", "read_case_base-text"],
+)
+def test_only_the_rows_the_block_branch_refuses_reach_the_per_field_parsers(read, block, edit, monkeypatch):
+    # 1,000 rows, every 33rd edited, one at a time, in file order. A ca or
+    # thal code outside its domain sends those rows alone to validate_case;
+    # "54.0"-style text in an integer column, which int() refuses, sends
+    # every row of their blocks.
     rows = generate_rows(1000, seed=13)
     odd = list(range(5, 1000, 33))
-    for at in odd:
-        rows[at][["ca", "thal"][at % 2]] = [4, 0][at % 2]
+    if edit == "domain":
+        for at in odd:
+            rows[at][["ca", "thal"][at % 2]] = [4, 0][at % 2]
     text = io.StringIO()
     base = CaseBase.from_cases(Case(**row) for row in rows)
     if read is read_case_base:
         write_case_base(base, text)
     else:
         write_cases(base.cases(), text)
+    lines = list(csv.reader(io.StringIO(text.getvalue())))
+    header, records = lines[0], lines[1:]
+    if edit == "text":
+        for at in odd:
+            column = header.index(["age", "chol", "thalach"][at % 3])
+            records[at][column] += ".0"
+    odd_blocks = {at // block for at in odd}
+    refused_at = odd if edit == "domain" else [row for row in range(1000) if row // block in odd_blocks]
+    text = "\n".join(map(",".join, lines)) + "\n"
     refused, per_field = [], []
     monkeypatch.setattr(dataset, "validate_case", lambda raw, mode: refused.append(raw) or validate_case(raw, mode))
     parse_float = cases_module._parse_float
     monkeypatch.setattr(cases_module, "_parse_float", lambda *args: per_field.append(args) or parse_float(*args))
-    result = read(io.StringIO(text.getvalue()))
+    monkeypatch.setattr(dataset, "BLOCK_ROWS", block)
+    result = read(io.StringIO(text))
     cases = result.cases() if read is read_case_base else result
     assert cases == base.cases()
-    expected = [dict(zip(CANONICAL_HEADER, dataset._case_fields(base.cases()[at]))) for at in odd]
-    assert [{name: raw[name] for name in CANONICAL_HEADER} for raw in refused] == expected
-    assert len(per_field) == len(odd)
+    expected = [dict(zip(header, records[at])) for at in refused_at]
+    assert refused == expected
+    assert len(per_field) == len(refused_at)
 
 
 def test_an_unknown_mode_raises_at_the_first_data_row():
