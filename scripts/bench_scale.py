@@ -3,9 +3,10 @@
 
 For each size and mode this writes the seed-7 synthetic dataset, runs
 ``heartcbr run-all`` in-process ``--repeats`` times and keeps the fastest
-run: its wall time, the seconds spent in each pipeline stage (parse, split,
-fit, evaluate, stats, correlate, write), the share of distinct raw rows in
-the initial case base, and the SHA-256 digests of ``evaluation_report.json``
+wall time, the fastest time of each pipeline stage (parse, split, fit,
+evaluate, stats, correlate, write; each stage's own minimum, so the stages
+may come from different runs), the share of distinct raw rows in the
+initial case base, and the SHA-256 digests of ``evaluation_report.json``
 and ``per_case.csv``. Results are stored under ``--label`` in the output
 file and entries under other labels are kept, so runs of two checkouts can
 sit side by side:
@@ -14,11 +15,12 @@ sit side by side:
     PYTHONPATH=src python3 scripts/bench_scale.py --sizes 1025 --incremental-sizes --repeats 1
 
 A label that is already in the file gains the new runs: each size and mode
-keeps its fastest run over all calls (``repeats`` counts them), and its
-digests must not change. To compare two checkouts, interleave them round by
-round, one ``--repeats 1`` call per checkout per round, for at least three
-rounds. The host's speed drifts over minutes, so running one checkout's
-repeats and then the other's reads that drift as a difference between them.
+keeps its fastest wall time and stage times over all calls (``repeats``
+counts the runs), and its digests must not change. To compare two
+checkouts, interleave them round by round, one ``--repeats 1`` call per
+checkout per round, for at least three rounds. The host's speed drifts
+over minutes, so running one checkout's repeats and then the other's reads
+that drift as a difference between them.
 Every run of a call writes into one output directory, so only the first
 writes new files and the later ones overwrite them; with ``--repeats 2`` or
 more, each run of a size after its first rewrites files of that size, as
@@ -89,17 +91,22 @@ def timed_run_all(csv_path: Path, out: Path, incremental: bool) -> dict:
     }
 
 
+def _fastest(runs: list[dict], repeats: int) -> dict:
+    """The fastest of ``runs``, with each stage's minimum over them all and ``repeats``."""
+    stages = {name: min(run["stages_s"][name] for run in runs) for name in runs[0]["stages_s"]}
+    return dict(min(runs, key=lambda run: run["run_all_s"]), stages_s=stages, repeats=repeats)
+
+
 def measure(rows: int, incremental: bool, repeats: int, scratch: Path) -> dict:
     csv_path = write_synthetic_dataset(scratch / f"synthetic_{rows}.csv", rows, seed=SEED)
     runs = [timed_run_all(csv_path, scratch / "out", incremental) for _ in range(repeats)]
     if any(run["digests"] != runs[0]["digests"] for run in runs):
         raise SystemExit(f"{rows} rows: report digests differ between repeats")
-    fastest = dict(min(runs, key=lambda run: run["run_all_s"]), repeats=repeats)
     # The initial case base of run-all (default train fraction), numbered as the kernel does.
     train = split_sequential(parse_csv(csv_path)).train
     distinct_ratio = round(len(train.distinct()[0]) / len(train), 4)
     mode = "incremental" if incremental else "frozen"
-    return {"rows": rows, "mode": mode, "distinct_ratio": distinct_ratio, **fastest}
+    return {"rows": rows, "mode": mode, "distinct_ratio": distinct_ratio, **_fastest(runs, repeats)}
 
 
 def main() -> int:
@@ -129,8 +136,7 @@ def main() -> int:
         if run is not None:
             if kept["digests"] != run["digests"]:
                 raise SystemExit(f"{run['rows']} rows {run['mode']}: digests differ from the earlier calls")
-            faster = min(kept, run, key=lambda r: r["run_all_s"])
-            kept = dict(faster, repeats=kept.get("repeats", 0) + run["repeats"])
+            kept = _fastest([kept, run], kept.get("repeats", 0) + run["repeats"])
         runs.append(kept)
     runs += new.values()  # configurations no earlier call ran
     results[args.label] = {

@@ -329,5 +329,4 @@ def read_model(path) -> MlpModel:
 
 
 def write_training_log(mse_log: Sequence[float], path) -> None:
-    rows = ([epoch, repr(float(mse))] for epoch, mse in enumerate(mse_log, start=1))
-    _write_rows(path, ["epoch", "mse"], rows)
+    _write_rows(path, ["epoch", "mse"], enumerate(map(float, mse_log), start=1))

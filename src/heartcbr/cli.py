@@ -82,7 +82,7 @@ def _mode(args) -> str:
 def _out_dir(args) -> Path:
     """Make --out-dir; each writer calls it once its results are ready."""
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _stage("write", out.mkdir, parents=True, exist_ok=True)
     return out
 
 

@@ -438,19 +438,6 @@ def split_sequential(cases: list[Case], train_fraction=Fraction(3, 5)) -> SplitR
 
 
 _case_values = attrgetter(*FEATURE_NAMES, TARGET_NAME)
-# The 13 attribute fields of a row, formatted in one C-level pass: %d prints
-# a number as str(int(v)) does, and %r prints oldpeak, which validate_case
-# makes a float, as repr(float(v)) does. Neither prints a comma.
-_ATTRIBUTE_FIELDS = ",".join("%r" if name == "oldpeak" else "%d" for name in FEATURE_NAMES)
-
-
-def _case_fields(case: Case) -> list[str]:
-    """The canonical-header fields of ``case``; an absent target is left empty."""
-    values = _case_values(case)
-    row = (_ATTRIBUTE_FIELDS % values[:N_FEATURES]).split(",")
-    target = values[N_FEATURES]
-    row.append("" if target is None else str(target))
-    return row
 
 
 @contextmanager
@@ -470,7 +457,10 @@ def _overwritten(path) -> Iterator[io.TextIOBase]:
 
 
 def _write_rows(sink, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and ``rows`` as CSV with LF line ends, to a path or an open text stream."""
+    """Write ``header`` and ``rows`` as CSV with LF line ends, to a path or an open text stream.
+
+    ``csv.writer`` prints an int as ``str()`` does, a float as ``repr()`` does and None as an empty field.
+    """
     opened = nullcontext(sink) if hasattr(sink, "write") else _overwritten(sink)
     with opened as stream:
         writer = csv.writer(stream, lineterminator="\n")
@@ -483,12 +473,13 @@ def _write_rows(sink, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 _PLAIN_NUMBERS = frozenset({int, float})
 
 
-def _record_texts(records, indent: str) -> list[str] | None:
-    """The JSON text of each record, or None unless all share one template.
+def _record_texts(records) -> list[str] | None:
+    """The JSON text of each record of a top-level list, or None unless all share one template.
 
     They do when ``records`` are dicts (exactly) with one set of str keys and
     only plain, finite int and float values. Each record is then rendered
-    through one ``str.format`` template, its closing brace at ``indent``.
+    through one ``str.format`` template, indented as ``json.dumps`` indents
+    the items of a list under a top-level key.
     """
     first = records[0]
     if not (set(map(type, records)) == {dict} and first and set(map(type, first)) == {str}):
@@ -510,41 +501,30 @@ def _record_texts(records, indent: str) -> list[str] | None:
             return None
     except (OverflowError, ValueError):
         return None
-    inner = indent + "  "
-    fields = ",\n".join(inner + json.dumps(key).replace("{", "{{").replace("}", "}}") + ": {!r}" for key in keys)
-    return list(starmap(f"{{{{\n{fields}\n{indent}}}}}".format, rows))
+    fields = ",\n".join("      " + json.dumps(key).replace("{", "{{").replace("}", "}}") + ": {!r}" for key in keys)
+    return list(starmap(f"{{{{\n{fields}\n    }}}}".format, rows))
 
 
-def _json_key(key) -> str:
-    """A dict key as JSON text, under the rules of ``json.dumps``."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-        key = json.dumps(key)
-    return json.dumps(key)
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, with a fast path for record lists.
 
-
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, nested lines prefixed by ``indent``.
-
-    Lists of records go through :func:`_record_texts` when they can, every
-    other container through this recursion, and scalars through ``json.dumps``.
-    A value that ``json.dumps`` rejects is rejected too; a circular one ends
-    in RecursionError rather than ValueError.
+    A non-empty dict whose keys are all exactly str is written one value at a
+    time: a list that :func:`_record_texts` can render goes through its
+    template, any other value through ``json.dumps`` with every line after
+    its first indented two more spaces (JSON text holds no raw newline but
+    the ones ``indent`` adds). Any other payload is ``json.dumps`` itself.
     """
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = _record_texts(value, inner) or [_json_text(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [_json_key(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return json.dumps(value)
+    if not (type(payload) is dict and payload and set(map(type, payload)) == {str}):
+        return json.dumps(payload, indent=2, sort_keys=True)
+    items = []
+    for key, value in sorted(payload.items()):
+        records = isinstance(value, list) and value and _record_texts(value)
+        if records:
+            text = "[\n    " + ",\n    ".join(records) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        items.append(json.dumps(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
 def _write_json(path, payload) -> None:
@@ -558,13 +538,13 @@ def _read_json(path):
 
 
 def write_cases(cases: Iterable[Case], sink) -> None:
-    """Write cases as a canonical-header CSV readable by :func:`parse_csv`."""
-    _write_rows(sink, CANONICAL_HEADER, map(_case_fields, cases))
+    """Write cases as a canonical-header CSV readable by :func:`parse_csv`; an absent target is left empty."""
+    _write_rows(sink, CANONICAL_HEADER, map(_case_values, cases))
 
 
 def write_case_base(case_base: CaseBase, sink) -> None:
     """Persist a case base as CSV: case_id column plus the canonical header."""
-    rows = ([str(case_id), *_case_fields(case)] for case_id, case in case_base)
+    rows = ((case_id, *_case_values(case)) for case_id, case in case_base)
     _write_rows(sink, (CASE_ID_COLUMN,) + CANONICAL_HEADER, rows)
 
 

@@ -44,10 +44,7 @@ def write_per_case_csv(path, report: EvaluationReport) -> None:
     _write_rows(
         path,
         ["index", "true_target", "predicted_target", "best_similarity", "best_case_id"],
-        (
-            [r.index, r.true_target, r.predicted_target, repr(r.best_similarity), r.best_case_id]
-            for r in report.per_case
-        ),
+        ([r.index, r.true_target, r.predicted_target, r.best_similarity, r.best_case_id] for r in report.per_case),
     )
 
 
@@ -90,7 +87,7 @@ def write_stats_tables(out_dir, prefix: str, stats: StatsTables) -> list[Path]:
         "positives_by_gender",
         ["gender", "positives", "percent"],
         [
-            [g, stats.positives_by_gender[g]["count"], repr(stats.positives_by_gender[g]["percent"])]
+            [g, stats.positives_by_gender[g]["count"], stats.positives_by_gender[g]["percent"]]
             for g in ("male", "female")
         ],
     )
@@ -121,7 +118,7 @@ def write_correlation_csv(path, matrix: Sequence[Sequence[float | None]]) -> Non
         path,
         ["attribute", *CORRELATION_COLUMNS],
         (
-            [name, *("undefined" if v is None else repr(v) for v in row)]
+            [name, *("undefined" if v is None else v for v in row)]
             for name, row in zip(CORRELATION_COLUMNS, matrix)
         ),
     )

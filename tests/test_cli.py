@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -23,6 +24,11 @@ from conftest import make_case, subprocess_env
 
 def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def read_csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as stream:
+        return list(csv.DictReader(stream))
 
 
 # --- split -------------------------------------------------------------------
@@ -360,15 +366,15 @@ def test_predict_retain_keeps_the_mode_of_the_files_it_replaces(split_dir, capsy
 
 
 def test_predict_retain_failing_inside_the_case_base_write_leaves_both_files(split_dir, monkeypatch, capsys):
-    case_fields, rows = dataset._case_fields, []
+    case_values, rows = dataset._case_values, []
 
     def failing_at_row_10_of_73(case):
         rows.append(case)
         if len(rows) == 10:
             raise OSError("No space left on device")
-        return case_fields(case)
+        return case_values(case)
 
-    monkeypatch.setattr("heartcbr.dataset._case_fields", failing_at_row_10_of_73)
+    monkeypatch.setattr("heartcbr.dataset._case_values", failing_at_row_10_of_73)
     before = {path.name: path.read_bytes() for path in split_dir.iterdir()}
     stored = parse_csv(split_dir / "train.csv")[3]
     rc = main(["predict", "--case-base", str(split_dir / "case_base.csv"), "--retain", *query_flags(stored)])
@@ -547,6 +553,28 @@ def test_run_all_emits_full_output_set(tmp_path, synthetic_csv):
     ]
     for name in expected:
         assert (tmp_path / name).exists(), name
+
+
+def test_per_case_csv_agrees_with_the_report_and_csv_floats_are_repr_text(tmp_path, synthetic_csv):
+    args = ["--input", str(synthetic_csv), "--out-dir", str(tmp_path)]
+    assert main(["run-all", *args]) == 0
+    assert main(["train-nn", *args, "--epochs", "3"]) == 0
+    records = read_json(tmp_path / "evaluation_report.json")["per_case"]
+    rows = read_csv_rows(tmp_path / "per_case.csv")
+    assert len(rows) == len(records) == 48
+    for row, record in zip(rows, records):
+        assert sorted(row) == sorted(record)
+        assert row.pop("best_similarity") == repr(record["best_similarity"])
+        assert all(text == str(record[key]) and type(record[key]) is int for key, text in row.items())
+
+    correlations = [text for row in read_csv_rows(tmp_path / "correlation.csv") for text in list(row.values())[1:]]
+    percents = [
+        row["percent"] for name in ("true", "predicted") for row in read_csv_rows(tmp_path / f"{name}_positives_by_gender.csv")
+    ]
+    mses = [row["mse"] for row in read_csv_rows(tmp_path / "mlp_training_log.csv")]
+    float_texts = [text for text in correlations if text != "undefined"] + percents + mses
+    assert (len(correlations), len(percents), len(mses)) == (14 * 14, 4, 3)
+    assert all(repr(float(text)) == text for text in float_texts)
 
 
 def test_run_all_rerun_into_its_out_dir_leaves_the_bytes_of_a_fresh_run(tmp_path, seed7_csv):
@@ -791,6 +819,19 @@ def test_failure_exit_code_message_and_leftover_files(tmp_path, capsys, failing_
     assert err == ("" if err_want is None else err_want + "\n")
     files = sorted(p.name for p in out.iterdir()) if out.exists() else None
     assert files == files_want
+
+
+@pytest.mark.parametrize("command", ["split", "train-nn"])
+@pytest.mark.parametrize(
+    "below, fault", [(False, "[Errno 17] File exists"), (True, "[Errno 20] Not a directory")], ids=["file", "below-file"]
+)
+def test_an_unusable_out_dir_fails_in_the_write_stage(tmp_path, capsys, clean_synthetic_csv, command, below, fault):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "out" if below else blocker
+    assert main([command, "--input", str(clean_synthetic_csv), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: write: {fault}: {str(out)!r}\n"
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
 
 
 # --- option scope -----------------------------------------------------------------

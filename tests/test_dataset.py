@@ -417,7 +417,6 @@ def _oracle_csv(header, rows):
 @settings(max_examples=300)
 @given(st.lists(storable_cases(), max_size=8))
 def test_case_rows_equal_the_per_field_oracle(cases):
-    assert [dataset._case_fields(case) for case in cases] == [_oracle_case_fields(case) for case in cases]
     written = io.StringIO()
     write_cases(cases, written)
     assert written.getvalue() == _oracle_csv(CANONICAL_HEADER, map(_oracle_case_fields, cases))

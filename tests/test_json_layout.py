@@ -97,9 +97,16 @@ def test_encoder_follows_the_stdlib_on_other_keys_and_shapes(payload):
     assert _json_text(payload) == stdlib(payload)
 
 
+def circular_payloads():
+    d, l = {}, []
+    d["a"] = d
+    l.append(l)
+    return [d, {"x": l}, [d]]
+
+
 @pytest.mark.parametrize(
     "payload",
-    [{(1, 2): 0}, {"a": {1, 2}}, [{"a": 1}, {"a": object()}], {1: 0, "a": 1}, [np.array([1, 2])]],
+    [{(1, 2): 0}, {"a": {1, 2}}, [{"a": 1}, {"a": object()}], {1: 0, "a": 1}, [np.array([1, 2])], *circular_payloads()],
 )
 def test_encoder_rejects_what_the_stdlib_rejects(payload):
     assert outcome(_json_text, payload) == outcome(stdlib, payload)

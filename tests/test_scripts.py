@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -81,3 +82,36 @@ def test_bench_scale_keeps_the_fastest_run_of_every_call_under_one_label(tmp_pat
     assert [(run["rows"], run["repeats"]) for run in runs] == [(120, 2), (60, 1)]
     assert runs[0]["run_all_s"] <= first["run_all_s"]
     assert runs[0]["digests"] == first["digests"]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_scale_keeps_the_fastest_time_of_each_stage(tmp_path, monkeypatch):
+    # The faster run-all has the slower parse: a stage keeps its own minimum.
+    bench_scale = load_script("bench_scale")
+    stages = dict.fromkeys(bench_scale.STAGES, 0.01)
+    slow = {"run_all_s": 2.0, "stages_s": {**stages, "parse": 0.1, "evaluate": 1.5}, "digests": {"f": "x"}}
+    fast = {"run_all_s": 1.5, "stages_s": {**stages, "parse": 0.3, "evaluate": 0.9}, "digests": {"f": "x"}}
+    fastest = {"run_all_s": 1.5, "stages_s": {**stages, "parse": 0.1, "evaluate": 0.9}, "digests": {"f": "x"}}
+
+    runs = iter([slow, fast])
+    monkeypatch.setattr(bench_scale, "timed_run_all", lambda *args: next(runs))
+    run = bench_scale.measure(20, False, 2, tmp_path)
+    assert {key: run[key] for key in fastest} == fastest
+    assert run["repeats"] == 2
+
+    # Two calls under one label merge the same way.
+    out = tmp_path / "bench.json"
+    runs = iter([slow, fast])
+    argv = ["bench_scale.py", "--out", str(out), "--sizes", "20", "--incremental-sizes", "--repeats", "1"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bench_scale.main() == 0
+    assert bench_scale.main() == 0
+    [run] = json.loads(out.read_text(encoding="utf-8"))["current"]["runs"]
+    assert {key: run[key] for key in fastest} == fastest
+    assert run["repeats"] == 2
