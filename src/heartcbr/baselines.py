@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .analytics import accuracy
 from .dataset import _read_json, _write_json, _write_rows
 
 DEFAULT_SIZES = (13, 3, 2)
@@ -300,10 +301,7 @@ def evaluate_mlp(
         raise ValueError("cannot evaluate on an empty set")
     w_hidden, w_out = _weight_lists(model)
     n_in = model.sizes[0]
-    correct = sum(
-        1 for x, lab in zip(vectors, labels) if _predict(w_hidden, w_out, _with_bias(x, n_in)) == lab
-    )
-    return correct / len(vectors)
+    return accuracy([_predict(w_hidden, w_out, _with_bias(x, n_in)) for x in vectors], labels)
 
 
 def write_model(model: MlpModel, path) -> None:

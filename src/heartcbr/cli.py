@@ -1,9 +1,10 @@
 """Command-line pipeline: split, predict, evaluate, stats, correlate, train-nn.
 
-Every subcommand is deterministic given its flags and inputs, emits
-machine-readable files (JSON reports, CSV tables) into --out-dir, and exits
-0 only on success. Each is built from the step helpers below, and ``run-all``
-runs the steps of split, evaluate, stats and correlate on one parse.
+Every subcommand is deterministic given its flags and inputs and exits 0
+only on success. All but ``predict`` write files (JSON reports, CSV tables)
+into --out-dir and read --input's rows as stored cases, so a row without a
+target fails the parse at its file line (``split`` lets test rows lack one).
+``run-all`` runs the steps of split, evaluate, stats and correlate on one parse.
 
 ``predict`` fits the scaling from ``case_base.csv`` on every run and never
 reads ``normalization.json``, the export that ``split`` and ``--retain`` write.
@@ -86,8 +87,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _parse(args):
-    return _stage("parse", parse_csv, args.input, _mode(args))
+def _parse(args, *, stored: bool = True):
+    return _stage("parse", parse_csv, args.input, _mode(args), stored=stored)
 
 
 def _split(args, cases):
@@ -155,7 +156,7 @@ def _write_correlation(args, cases):
 
 
 def cmd_split(args) -> int:
-    split = _split(args, _parse(args))
+    split = _split(args, _parse(args, stored=False))
     _write_split_artifacts(args, split)
     print(f"split: {len(split.train)} train / {len(split.test)} test -> {Path(args.out_dir)}")
     return 0
@@ -174,8 +175,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_stats(args) -> int:
     cases = _parse(args)
-    if any(case.target is None for case in cases):
-        raise CliError("stats: every input row needs a target")
     report = _evaluate(args, _split(args, cases))
     true_stats, predicted_stats = _write_stats(args, cases, report)
     print(
@@ -198,8 +197,6 @@ def cmd_train_nn(args) -> int:
     train_labels = [c.target for c in split.train.cases()]
     test_vectors = [normalize(to_feature_vector(c), params) for c in split.test]
     test_labels = [c.target for c in split.test]
-    if any(t is None for t in test_labels):
-        raise CliError("train-nn: every test row needs a target")
 
     model, mse_log = _stage(
         "train", baselines.train_mlp, train_vectors, train_labels, args.epochs, args.eta, args.seed
@@ -305,12 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--strict", action="store_true", help="strict field validation")
-    common.add_argument("--out-dir", default="out", help="output directory (default: out)")
     common.add_argument("--verbose", action="store_true", help="debug logging, incl. cycle events")
 
     pipeline = argparse.ArgumentParser(add_help=False, parents=[common])
     pipeline.add_argument("--input", required=True, help="input dataset CSV")
-    pipeline.add_argument(
+    pipeline.add_argument("--out-dir", default="out", help="output directory (default: out)")
+
+    splitting = argparse.ArgumentParser(add_help=False, parents=[pipeline])
+    splitting.add_argument(
         "--train-fraction", type=_fraction_flag, default=_fraction_flag("0.6"),
         help="fraction of leading rows used for training (default: 0.6)",
     )
@@ -321,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"{N_FEATURES} comma-separated attribute weights (default: all 1)",
     )
 
-    evaluated = argparse.ArgumentParser(add_help=False, parents=[pipeline, weighted])
+    evaluated = argparse.ArgumentParser(add_help=False, parents=[splitting, weighted])
     evaluated.add_argument(
         "--incremental-retain", action="store_true",
         help="retain each test case with its predicted target before the next prediction",
     )
 
-    p = sub.add_parser("split", parents=[pipeline], help="sequential train/test split")
+    p = sub.add_parser("split", parents=[splitting], help="sequential train/test split")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("evaluate", parents=[evaluated], help="split, fit and score the test set")
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", parents=[pipeline], help="product-moment correlation matrix")
     p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("train-nn", parents=[pipeline], help="train the backpropagation baseline")
+    p = sub.add_parser("train-nn", parents=[splitting], help="train the backpropagation baseline")
     p.add_argument("--seed", type=int, default=0, help="weight initialization seed")
     p.add_argument("--epochs", type=int, default=50, help="training epochs (>= 1)")
     p.add_argument("--eta", type=float, default=0.1, help="learning rate")
@@ -363,7 +362,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+        # The level is set on every call; basicConfig only adds the stderr handler once.
+        logging.basicConfig()
+        logging.getLogger("heartcbr").setLevel(logging.DEBUG if args.verbose else logging.WARNING)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

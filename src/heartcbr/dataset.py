@@ -381,7 +381,7 @@ def _validated(lines, rows, positions, mode: str, warning_counts: Counter, *, st
     return cases
 
 
-def parse_csv(source, mode: str = "lenient") -> list[Case]:
+def parse_csv(source, mode: str = "lenient", *, stored: bool = False) -> list[Case]:
     """Read a heart-disease CSV into cases, preserving file order.
 
     The first row must be a header with the 13 attribute columns (aliases
@@ -392,15 +392,16 @@ def parse_csv(source, mode: str = "lenient") -> list[Case]:
     row by row; an out-of-domain code or a target other than "0", "1" or
     blank sends only its own row. Row-level failures raise
     :class:`DatasetError` citing the 1-based file line; the first fault in
-    file order wins, a row of the wrong width included. Lenient-mode domain
-    warnings are aggregated into one log message.
+    file order wins, a row of the wrong width included. With ``stored``,
+    every row must hold a target, as a case-base row must. Lenient-mode
+    domain warnings are aggregated into one log message.
     """
     cases: list[Case] = []
     warning_counts: Counter[str] = Counter()
     with closing(_blocks(source, allow_case_id=False)) as blocks:
         positions = next(blocks)
         for lines, rows in blocks:
-            cases += _validated(lines, rows, positions, mode, warning_counts)
+            cases += _validated(lines, rows, positions, mode, warning_counts, stored=stored)
 
     if warning_counts:
         logger.warning(

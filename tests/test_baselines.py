@@ -390,6 +390,13 @@ def test_evaluate_mlp_counts_matches():
     assert evaluate_mlp(model, XOR_X, flipped) == 0.0
 
 
+@pytest.mark.parametrize("labels", [[0, 0], [0] * 7], ids=["fewer", "more"])
+def test_evaluate_mlp_rejects_labels_not_aligned_with_the_vectors(labels):
+    model = init_mlp(sizes=(2, 2, 2), seed=0)
+    with pytest.raises(ValueError, match=f"^length mismatch: 4 predictions vs {len(labels)} truths$"):
+        evaluate_mlp(model, XOR_X, labels)
+
+
 def test_one_hot_target():
     assert one_hot_target(0) == (1.0, 0.0)
     assert one_hot_target(1) == (0.0, 1.0)

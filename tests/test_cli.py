@@ -67,8 +67,9 @@ def test_split_nonexistent_input_reports_stage(tmp_path, capsys):
     assert "parse" in capsys.readouterr().err
 
 
-def test_bad_fraction_is_usage_error(tmp_path, synthetic_csv):
-    rc = main(["split", "--input", str(synthetic_csv), "--train-fraction", "1.5"])
+@pytest.mark.parametrize("fraction", ["1.5", "abc"])
+def test_bad_fraction_is_usage_error(tmp_path, synthetic_csv, fraction):
+    rc = main(["split", "--input", str(synthetic_csv), "--train-fraction", fraction])
     assert rc == 2
 
 
@@ -234,10 +235,16 @@ def test_predict_missing_case_base(tmp_path, capsys):
     assert "case base" in capsys.readouterr().err
 
 
-def test_predict_incomplete_query_flags(split_dir, capsys):
-    rc = main(["predict", "--case-base", str(split_dir / "case_base.csv"), "--age", "50"])
+@pytest.mark.parametrize(
+    "query, message",
+    [(False, "missing query fields"), (True, "give the query either as --query or as field flags, not both")],
+    ids=["incomplete", "query-and-flags"],
+)
+def test_predict_query_flag_errors(split_dir, capsys, query, message):
+    args = ["--query", str(split_dir / "test.csv")] if query else []
+    rc = main(["predict", "--case-base", str(split_dir / "case_base.csv"), "--age", "50", *args])
     assert rc == 1
-    assert "missing query fields" in capsys.readouterr().err
+    assert f"error: predict: {message}" in capsys.readouterr().err
 
 
 def test_predict_fits_the_scaling_from_the_case_base_not_a_stale_sidecar(tmp_path, capsys):
@@ -760,24 +767,27 @@ def test_run_all_incremental_retain_predicted_stats_cover_every_row(tmp_path, sy
 SPLIT_FILES = ["case_base.csv", "normalization.json", "split_manifest.json", "test.csv", "train.csv"]
 NO_TRAIN_TARGET = "error: split: case 5: stored cases must have a target"
 EMPTY_SIDE = "error: split: split of 1 cases at fraction 3/5 leaves an empty side"
+TEST_LINE, TRAIN_LINE = (f"error: parse: line {line}: stored case missing target" for line in (42, 7))
 
 # (input, command) -> (exit code, stderr line, files in --out-dir or None when it
 # was never made). A 50-row file splits 30 / 20; "test-side" has no target on
-# row 40 (test case 10), "train-side" none on row 5. split reads no target of
-# a test row, so it alone succeeds on "test-side".
+# row 40 (file line 42), "train-side" none on row 5 (file line 7). Every
+# command but split reads its rows as stored cases, so the parse rejects the
+# row before anything is written; split reads no target of a test row, so it
+# alone succeeds on "test-side".
 FAILURES = {
     ("test-side", "split"): (0, None, SPLIT_FILES),
-    ("test-side", "evaluate"): (1, "error: evaluate: test case 10 is missing a target", None),
-    ("test-side", "stats"): (1, "error: stats: every input row needs a target", None),
-    ("test-side", "correlate"): (1, "error: correlate: case 40 is missing a target", None),
-    ("test-side", "run-all"): (1, "error: evaluate: test case 10 is missing a target", SPLIT_FILES),
-    ("test-side", "train-nn"): (1, "error: train-nn: every test row needs a target", None),
+    ("test-side", "evaluate"): (1, TEST_LINE, None),
+    ("test-side", "stats"): (1, TEST_LINE, None),
+    ("test-side", "correlate"): (1, TEST_LINE, None),
+    ("test-side", "run-all"): (1, TEST_LINE, None),
+    ("test-side", "train-nn"): (1, TEST_LINE, None),
     ("train-side", "split"): (1, NO_TRAIN_TARGET, None),
-    ("train-side", "evaluate"): (1, NO_TRAIN_TARGET, None),
-    ("train-side", "stats"): (1, "error: stats: every input row needs a target", None),
-    ("train-side", "correlate"): (1, "error: correlate: case 5 is missing a target", None),
-    ("train-side", "run-all"): (1, NO_TRAIN_TARGET, None),
-    ("train-side", "train-nn"): (1, NO_TRAIN_TARGET, None),
+    ("train-side", "evaluate"): (1, TRAIN_LINE, None),
+    ("train-side", "stats"): (1, TRAIN_LINE, None),
+    ("train-side", "correlate"): (1, TRAIN_LINE, None),
+    ("train-side", "run-all"): (1, TRAIN_LINE, None),
+    ("train-side", "train-nn"): (1, TRAIN_LINE, None),
     ("one-row", "split"): (1, EMPTY_SIDE, None),
     ("one-row", "evaluate"): (1, EMPTY_SIDE, None),
     ("one-row", "stats"): (1, EMPTY_SIDE, None),
@@ -837,10 +847,39 @@ def test_an_unusable_out_dir_fails_in_the_write_stage(tmp_path, capsys, clean_sy
 # --- option scope -----------------------------------------------------------------
 
 
-def test_predict_rejects_incremental_retain(split_dir):
+@pytest.mark.parametrize("flag", [["--incremental-retain"], ["--out-dir", "out"]], ids=lambda flag: flag[0])
+def test_predict_rejects_flags_it_would_not_read(split_dir, flag):
     stored = parse_csv(split_dir / "train.csv")[0]
     args = ["predict", "--case-base", str(split_dir / "case_base.csv"), *query_flags(stored)]
-    assert main([*args, "--incremental-retain"]) == 2
+    assert main([*args, *flag]) == 2
+
+
+# Calls main once per comma-separated entry of argv[1] in one process, as the
+# scripts do, marking the end of each call's stderr.
+VERBOSE_CHILD = """
+import sys
+from heartcbr.cli import main
+for call in sys.argv[1].split(","):
+    main(sys.argv[2:] + ["--verbose"] * (call == "verbose"))
+    print("end of call", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("calls", ["verbose,plain", "plain,verbose"])
+def test_verbose_holds_for_its_own_call_only(split_dir, calls):
+    stored = parse_csv(split_dir / "train.csv")[0]
+    args = ["predict", "--case-base", str(split_dir / "case_base.csv"), *query_flags(stored)]
+    command = [sys.executable, "-c", VERBOSE_CHILD, calls, *args]
+    child = subprocess.run(command, env=subprocess_env(), capture_output=True, text=True, check=True, timeout=120)
+    logged = [[line.split(":")[:3] for line in err.splitlines()] for err in child.stderr.split("end of call\n")[:-1]]
+    cycle = [["DEBUG", "heartcbr.engine", "reuse"], ["DEBUG", "heartcbr.engine", "revise"]]
+    assert logged == [cycle if call == "verbose" else [] for call in calls.split(",")]
+
+
+def test_correlate_rejects_train_fraction(tmp_path, synthetic_csv):
+    args = ["correlate", "--input", str(synthetic_csv), "--out-dir", str(tmp_path / "out")]
+    assert main([*args, "--train-fraction", "0.5"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_predict_accepts_weights(split_dir, capsys):
@@ -866,8 +905,8 @@ def test_non_finite_weight_is_an_error_on_stats_run_all_and_predict(tmp_path, sy
     if command == "predict":
         args = ["--case-base", str(tmp_path / "case_base.csv"), "--age", "50"]
     else:
-        args = ["--input", str(synthetic_csv)]
-    rc = main([command, *args, "--weights", weights, "--out-dir", str(tmp_path / "out")])
+        args = ["--input", str(synthetic_csv), "--out-dir", str(tmp_path / "out")]
+    rc = main([command, *args, "--weights", weights])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: weights:")
     assert not (tmp_path / "out").exists()

@@ -292,6 +292,10 @@ def test_case_base_requires_targets():
     )
     with pytest.raises(DatasetError):
         CaseBase.from_cases([unsolved])
+    base = CaseBase.from_cases([make_case()])
+    with pytest.raises(DatasetError, match="^case 1: stored cases must have a target$"):
+        base.add(unsolved)
+    assert base.ids() == [0]
 
 
 def test_case_base_rejects_non_increasing_ids():
@@ -360,11 +364,15 @@ def test_add_after_the_largest_id_raises_and_leaves_the_base_unchanged():
     assert base.extrema() == CaseBase.from_cases(base.cases()).extrema()
 
 
-def test_case_base_file_missing_target_column(tmp_path):
-    header = "case_id," + HEADER.rsplit(",", 1)[0]
+@pytest.mark.parametrize(
+    "header, message",
+    [("case_id," + HEADER.rsplit(",", 1)[0], "missing target column"), (HEADER, "missing case_id column")],
+    ids=["target", "case_id"],
+)
+def test_case_base_file_missing_a_column(tmp_path, header, message):
     path = tmp_path / "broken.csv"
     path.write_text(header + "\n")
-    with pytest.raises(DatasetError):
+    with pytest.raises(DatasetError, match=f"^{message}$"):
         read_case_base(path)
 
 

@@ -201,12 +201,16 @@ def test_retain_keeps_the_params_object_exactly_while_no_extremum_moves(start, a
         params = refit
 
 
-def edited_sidecar(tmp_path, **chol):
+def edited_sidecar(tmp_path, chol):
+    """The sidecar with chol's entry updated by ``chol``, or without it if ``chol`` is None."""
     params = fit_minmax(CaseBase.from_cases([make_case(chol=100), make_case(chol=300)]))
     path = tmp_path / "normalization.json"
     write_params(params, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["chol"].update(chol)
+    if chol is None:
+        del payload["chol"]
+    else:
+        payload["chol"].update(chol)
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
 
@@ -219,9 +223,10 @@ def edited_sidecar(tmp_path, **chol):
         ({"range": -math.inf}, "finite"),
         ({"min": 300.0, "max": 100.0, "range": -200.0}, "below its min"),
         ({"range": 150.0}, "not max - min"),
+        (None, "^sidecar missing attributes: chol$"),
     ],
-    ids=["nan-min", "inf-max", "inf-range", "max-below-min", "range-mismatch"],
+    ids=["nan-min", "inf-max", "inf-range", "max-below-min", "range-mismatch", "missing-attribute"],
 )
 def test_read_params_rejects_hand_edited_sidecar(tmp_path, edit, message):
     with pytest.raises(ValueError, match=message):
-        read_params(edited_sidecar(tmp_path, **edit))
+        read_params(edited_sidecar(tmp_path, edit))
