@@ -2,8 +2,8 @@
 
 Every subcommand is deterministic given its flags and inputs and exits 0
 only on success. All but ``predict`` write files (JSON reports, CSV tables)
-into --out-dir and read --input's rows as stored cases, so a row without a
-target fails the parse at its file line (``split`` lets test rows lack one).
+into --out-dir and read --input's rows as stored cases, so the parse rejects
+a missing target column or target (``split`` lets test rows lack one).
 ``run-all`` runs the steps of split, evaluate, stats and correlate on one parse.
 
 ``predict`` fits the scaling from ``case_base.csv`` on every run and never

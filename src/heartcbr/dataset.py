@@ -88,9 +88,9 @@ class CaseBase:
     index (one dict lookup) and replaces the read-only views, so a reader
     keeps views that agree with each other. The ids array is the only copy
     of the ids; the cases are kept too, as they hold integers past 2**53
-    exactly. It alone invalidates its caches: :meth:`derived_rows` (a
-    transform of the distinct rows, the engine's scaled rows, attribute-major)
-    and :meth:`fitted` (a fit of the extrema, kept until their bits move).
+    exactly. It alone invalidates its caches: :meth:`derived_rows` (the
+    engine's scaled distinct rows, attribute-major) and :meth:`fitted` (a
+    fit of the extrema, kept until their bits move).
     """
 
     def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
@@ -116,9 +116,9 @@ class CaseBase:
         # float tuples, and the collector never scans them.
         self._first_of: dict[bytes, int] = {}
         self._index(0, len(features))
-        # (key, rows, count) of derived_rows(): rows is attributes x capacity,
-        # and its first count columns hold the transform of the first count
-        # distinct rows. No key equals the initial object().
+        # (params, rows, count) of derived_rows(): rows is attributes x capacity,
+        # and its first count columns hold the kernel rows of the first count
+        # distinct rows. No params equal the initial object().
         self._derived: tuple[object, np.ndarray, int] = (object(), np.empty((0, 0)), 0)
         self._fitted: tuple = (None, None)  # (key, value) of fitted()
         self._publish()
@@ -185,35 +185,33 @@ class CaseBase:
             self._fitted = (key, fit(*self.extrema()))
         return self._fitted[1]
 
-    def derived_rows(self, key, transform) -> np.ndarray:
-        """Read-only ``transform`` of the distinct feature rows, cached while ``key`` stays equal.
+    def derived_rows(self, params) -> np.ndarray:
+        """Read-only ``params.kernel_rows`` of the distinct feature rows, cached while the params stay equal.
 
-        Row c of the result is the transform of distinct row c, the feature
-        row at ``first[c]`` of :meth:`distinct`. ``transform`` must map each
-        feature row on its own (elementwise), so transforming only the
-        distinct rows added since the last call gives the same bits as
-        transforming them all. The cache is attribute-major (attributes x
-        capacity): the result is the transpose of its first c columns, a
-        c x attributes view whose ``.T`` has one contiguous row per attribute.
-        New rows are written into spare columns; a key that is not equal to
-        the cached one transforms every distinct row into a new array, so
-        views handed out earlier never change.
+        Row c is the kernel row of distinct row c, at ``first[c]`` of
+        :meth:`distinct`. ``kernel_rows`` scales each row on its own, so
+        scaling only the distinct rows added since the last call gives the
+        bits of scaling them all. The cache is attribute-major (attributes x
+        capacity), so the result's ``.T`` has one contiguous row per
+        attribute. New rows fill spare columns; params not equal to the
+        cached ones scale every distinct row into a new array, so views
+        handed out earlier never change.
         """
         features, _, _, first, _ = self._views
         n = len(first)
         capacity = len(self._arrays[0])
-        cached_key, rows, done = self._derived
-        if cached_key is not key and cached_key != key:
+        cached, rows, done = self._derived
+        if cached is not params and cached != params:
             rows = np.empty(features.shape[1:] + (capacity,))
-            rows[:, :n] = transform(features.take(first, axis=0)).T
+            rows[:, :n] = params.kernel_rows(features.take(first, axis=0)).T
         else:
             if rows.shape[1] < capacity:
                 grown = np.empty(rows.shape[:1] + (capacity,))
                 grown[:, :done] = rows[:, :done]
                 rows = grown
             if done < n:
-                rows[:, done:n] = transform(features.take(first[done:n], axis=0)).T
-        self._derived = (key, rows, n)
+                rows[:, done:n] = params.kernel_rows(features.take(first[done:n], axis=0)).T
+        self._derived = (params, rows, n)
         view = rows[:, :n]
         view.flags.writeable = False
         return view.T
@@ -284,17 +282,19 @@ class SplitResult:
     test: tuple[Case, ...]
 
 
-def _resolve_header(raw_header: list[str], *, allow_case_id: bool) -> dict[str, int]:
+def _resolve_header(raw_header: list[str], *, case_ids: bool, stored: bool) -> dict[str, int]:
     """Map canonical column names to positions, applying aliases.
 
     One byte-order mark (U+FEFF) is dropped from the start of the first
-    name, as Excel's "CSV UTF-8" writes one; anywhere else it is kept.
+    name, as Excel's "CSV UTF-8" writes one; anywhere else it is kept. The
+    13 attribute columns are required, then a case_id column for a case-base
+    read (``case_ids``), then a target column for a ``stored`` read.
     """
     positions: dict[str, int] = {}
     for idx, raw_name in enumerate(raw_header):
         name = (raw_name if idx else raw_name.removeprefix("\ufeff")).strip().lower()
         name = HEADER_ALIASES.get(name, name)
-        if name == CASE_ID_COLUMN and allow_case_id:
+        if name == CASE_ID_COLUMN and case_ids:
             pass
         elif name not in CANONICAL_HEADER:
             raise DatasetError(f"unknown column {raw_name!r}")
@@ -304,10 +304,14 @@ def _resolve_header(raw_header: list[str], *, allow_case_id: bool) -> dict[str, 
     missing = [name for name in FEATURE_NAMES if name not in positions]
     if missing:
         raise DatasetError(f"missing columns: {', '.join(missing)}")
+    if case_ids and CASE_ID_COLUMN not in positions:
+        raise DatasetError("missing case_id column")
+    if stored and TARGET_NAME not in positions:
+        raise DatasetError("missing target column")
     return positions
 
 
-def _blocks(source, *, allow_case_id: bool) -> Iterator:
+def _blocks(source, *, case_ids: bool = False, stored: bool = False) -> Iterator:
     """Yield the header's column positions, then ``(line numbers, rows)`` of up to BLOCK_ROWS rows.
 
     ``source`` is a path, opened as UTF-8, or an open text stream, left open.
@@ -330,7 +334,7 @@ def _blocks(source, *, allow_case_id: bool) -> Iterator:
             raw_header = next(reader)
         except StopIteration:
             raise DatasetError("empty file: no header row") from None
-        yield _resolve_header(raw_header, allow_case_id=allow_case_id)
+        yield _resolve_header(raw_header, case_ids=case_ids, stored=stored)
         width = len(raw_header)
         lines: list[int] = []
         rows: list[list[str]] = []
@@ -385,20 +389,20 @@ def parse_csv(source, mode: str = "lenient", *, stored: bool = False) -> list[Ca
     """Read a heart-disease CSV into cases, preserving file order.
 
     The first row must be a header with the 13 attribute columns (aliases
-    accepted, case-insensitive, after one leading byte-order mark); a
-    target column is optional. Rows are read as csv text and validated in
-    blocks of at most BLOCK_ROWS rows, column by column. A value the block
-    branch cannot convert sends its whole block to :func:`validate_case`
-    row by row; an out-of-domain code or a target other than "0", "1" or
-    blank sends only its own row. Row-level failures raise
-    :class:`DatasetError` citing the 1-based file line; the first fault in
-    file order wins, a row of the wrong width included. With ``stored``,
-    every row must hold a target, as a case-base row must. Lenient-mode
-    domain warnings are aggregated into one log message.
+    accepted, case-insensitive, after one leading byte-order mark) and, if
+    ``stored``, a target column, which is optional otherwise. Rows are read
+    as csv text and validated in blocks of at most BLOCK_ROWS rows, column
+    by column. A value the block branch cannot convert sends its whole block
+    to :func:`validate_case` row by row; an out-of-domain code or a target
+    other than "0", "1" or blank sends only its own row. Row-level failures
+    raise :class:`DatasetError` citing the 1-based file line; the first
+    fault in file order wins, a row of the wrong width included. With
+    ``stored``, every row must hold a target too, as a case-base row must.
+    Lenient-mode domain warnings are aggregated into one log message.
     """
     cases: list[Case] = []
     warning_counts: Counter[str] = Counter()
-    with closing(_blocks(source, allow_case_id=False)) as blocks:
+    with closing(_blocks(source, stored=stored)) as blocks:
         positions = next(blocks)
         for lines, rows in blocks:
             cases += _validated(lines, rows, positions, mode, warning_counts, stored=stored)
@@ -575,12 +579,8 @@ def read_case_base(source) -> CaseBase:
     """
     ids: list[int] = []
     cases: list[Case] = []
-    with closing(_blocks(source, allow_case_id=True)) as blocks:
+    with closing(_blocks(source, case_ids=True, stored=True)) as blocks:
         positions = next(blocks)
-        if CASE_ID_COLUMN not in positions:
-            raise DatasetError("missing case_id column")
-        if TARGET_NAME not in positions:
-            raise DatasetError("missing target column")
         at = positions[CASE_ID_COLUMN]
         for lines, rows in blocks:
             block_ids, fault = _case_ids([row[at] for row in rows], ids[-1] if ids else -1)

@@ -160,23 +160,6 @@ def _plan(weights: tuple[float, ...], degenerate: tuple[bool, ...]) -> tuple[tup
     return tuple((flag, None if w == 1.0 else w + 0.0) for w, flag in zip(weights, degenerate, strict=True))
 
 
-def _prepare(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """Kernel rows from raw features: ``(x - lo) / range``, raw on degenerate attributes."""
-    if features.shape[1] != len(params):
-        raise ValueError(f"{features.shape[1]} attributes do not match parameters ({len(params)})")
-    offsets, divisors, small_range = params.kernel_transform
-    rows = features - offsets
-    # A range below 1 can scale a finite value past the largest float; the
-    # clamp scores that inf 0. Entering errstate costs more than the division
-    # itself, so it is entered only then.
-    if small_range:
-        with np.errstate(over="ignore"):
-            rows /= divisors
-    else:
-        rows /= divisors
-    return rows
-
-
 def _score_blocks(
     queries: Sequence[Case],
     case_base: CaseBase,
@@ -186,8 +169,8 @@ def _score_blocks(
     """Scores of the queries against every distinct stored row, in blocks of consecutive queries."""
     if len(case_base) == 0:
         raise ValueError("cannot retrieve from an empty case base")
-    cases = case_base.derived_rows(params, partial(_prepare, params=params)).T
-    rows = _prepare(feature_matrix(queries), params)
+    cases = case_base.derived_rows(params).T
+    rows = params.kernel_rows(feature_matrix(queries))
     step = max(1, BLOCK_PAIRS // cases.shape[1])
     for start in range(0, len(rows), step):
         block = rows[start : start + step]

@@ -11,7 +11,8 @@ compares its raw values instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import sub
@@ -22,34 +23,38 @@ import numpy as np
 from .cases import FEATURE_NAMES
 from .dataset import CaseBase, _read_json, _write_json
 
+_SIDECAR_KEYS = ("min", "max", "range", "degenerate")  # of each attribute in normalization.json
+
 
 @dataclass(frozen=True)
 class NormalizationParams:
+    """Per-attribute training extrema; ``ranges`` (max - min) and ``degenerate`` (range 0) follow from them."""
+
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
-    ranges: tuple[float, ...]
-    degenerate: tuple[bool, ...]
+    ranges: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    degenerate: tuple[bool, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.mins)
-        if not (len(self.maxs) == len(self.ranges) == len(self.degenerate) == n):
+        if len(self.mins) != len(self.maxs):
             raise ValueError("parameter tuples must have equal length")
-        if not all(map(math.isfinite, chain(self.mins, self.maxs, self.ranges))):
+        object.__setattr__(self, "mins", tuple(self.mins))
+        object.__setattr__(self, "maxs", tuple(self.maxs))
+        ranges = tuple(map(sub, self.maxs, self.mins))
+        if not all(map(math.isfinite, chain(self.mins, self.maxs, ranges))):
             raise ValueError("attribute extrema and range must be finite")
-        for lo, hi, rng, flag in zip(self.mins, self.maxs, self.ranges, self.degenerate):
+        for lo, hi in zip(self.mins, self.maxs):
             if hi < lo:
                 raise ValueError(f"attribute max {hi!r} is below its min {lo!r}")
-            if rng != hi - lo:
-                raise ValueError(f"attribute range {rng!r} is not max - min = {hi - lo!r}")
-            if flag != (rng == 0.0):
-                raise ValueError("degenerate flag must mark exactly the zero ranges")
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "degenerate", tuple(rng == 0.0 for rng in ranges))
 
     def __len__(self) -> int:
         return len(self.mins)
 
     @cached_property
-    def kernel_transform(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(offsets, divisors, any divisor below 1) of the kernel's ``(x - offset) / divisor``."""
+    def _kernel_transform(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(offsets, divisors, any divisor below 1) of :meth:`kernel_rows`' ``(x - offset) / divisor``."""
         degenerate = np.array(self.degenerate, dtype=bool)
         # Offset 0.0 and divisor 1.0 keep a degenerate attribute raw, bit for bit (-0.0 too).
         arrays = np.where(degenerate, 0.0, self.mins), np.where(degenerate, 1.0, self.ranges)
@@ -57,24 +62,30 @@ class NormalizationParams:
             array.flags.writeable = False  # shared by every caller of this object
         return arrays + (bool(arrays[1].min() < 1.0),)
 
+    def kernel_rows(self, features: np.ndarray) -> np.ndarray:
+        """The retrieval kernel's rows for raw feature rows: ``(x - min) / range``, raw on degenerate attributes."""
+        if features.shape[1] != len(self):
+            raise ValueError(f"{features.shape[1]} attributes do not match parameters ({len(self)})")
+        offsets, divisors, small_range = self._kernel_transform
+        rows = features - offsets
+        # A range below 1 can scale a finite value past the largest float; the
+        # kernel's clamp scores that inf 0. Entering errstate costs more than
+        # the division itself, so it is entered only then.
+        with np.errstate(over="ignore") if small_range else nullcontext():
+            rows /= divisors
+        return rows
+
 
 def fit_from_vectors(vectors: Iterable[Sequence[float]]) -> NormalizationParams:
-    """Column-wise extrema over feature vectors; range = max - min."""
+    """Column-wise extrema over feature vectors."""
     rows = [tuple(float(x) for x in v) for v in vectors]
     if not rows:
         raise ValueError("cannot fit normalization on an empty training set")
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("feature vectors must all have the same length")
-    mins = [min(row[i] for row in rows) for i in range(width)]
-    maxs = [max(row[i] for row in rows) for i in range(width)]
-    return _from_extrema(mins, maxs)
-
-
-def _from_extrema(mins: Sequence[float], maxs: Sequence[float]) -> NormalizationParams:
-    ranges = tuple(map(sub, maxs, mins))
-    degenerate = tuple(rng == 0.0 for rng in ranges)
-    return NormalizationParams(tuple(mins), tuple(maxs), ranges, degenerate)
+    columns = list(zip(*rows))
+    return NormalizationParams(tuple(map(min, columns)), tuple(map(max, columns)))
 
 
 def fit_minmax(train: CaseBase) -> NormalizationParams:
@@ -87,7 +98,7 @@ def fit_minmax(train: CaseBase) -> NormalizationParams:
     """
     if not len(train):
         raise ValueError("cannot fit normalization on an empty training set")
-    return train.fitted(_from_extrema)
+    return train.fitted(NormalizationParams)
 
 
 def normalize(vector: Sequence[float], params: NormalizationParams) -> tuple[float, ...]:
@@ -107,33 +118,36 @@ def normalize(vector: Sequence[float], params: NormalizationParams) -> tuple[flo
 
 
 def write_params(params: NormalizationParams, path) -> None:
-    """Write the sidecar file mapping attribute names to min/max/range."""
+    """Write the sidecar file mapping attribute names to min/max/range/degenerate."""
     if len(params) != len(FEATURE_NAMES):
         raise ValueError("sidecar format is defined for the 13-attribute schema")
-    payload = {
-        name: {
-            "min": params.mins[i],
-            "max": params.maxs[i],
-            "range": params.ranges[i],
-            "degenerate": params.degenerate[i],
-        }
-        for i, name in enumerate(FEATURE_NAMES)
-    }
-    _write_json(path, payload)
+    columns = zip(params.mins, params.maxs, params.ranges, params.degenerate)
+    _write_json(path, {name: dict(zip(_SIDECAR_KEYS, entry)) for name, entry in zip(FEATURE_NAMES, columns)})
 
 
 def read_params(path) -> NormalizationParams:
     """Load a sidecar written by :func:`write_params`.
 
-    Rejects hand-edited files whose extrema are not finite, whose max lies
-    below its min, or whose range is not max - min.
+    Rejects hand-edited files that lack an attribute or one of its four
+    keys, whose extrema are not finite, whose max lies below its min, whose
+    range is not max - min, or whose degenerate flag is not the JSON boolean
+    ``range == 0``.
     """
     payload = _read_json(path)
     missing = [name for name in FEATURE_NAMES if name not in payload]
     if missing:
         raise ValueError(f"sidecar missing attributes: {', '.join(missing)}")
-    mins = tuple(float(payload[name]["min"]) for name in FEATURE_NAMES)
-    maxs = tuple(float(payload[name]["max"]) for name in FEATURE_NAMES)
-    ranges = tuple(float(payload[name]["range"]) for name in FEATURE_NAMES)
-    degenerate = tuple(bool(payload[name]["degenerate"]) for name in FEATURE_NAMES)
-    return NormalizationParams(mins, maxs, ranges, degenerate)
+    entries = [payload[name] for name in FEATURE_NAMES]
+    absent = [(name, key) for name, entry in zip(FEATURE_NAMES, entries) for key in _SIDECAR_KEYS if key not in entry]
+    if absent:
+        raise ValueError("sidecar attribute {} has no {!r}".format(*absent[0]))
+    mins, maxs, ranges = ([float(entry[key]) for entry in entries] for key in ("min", "max", "range"))
+    params = NormalizationParams(mins, maxs)
+    if not all(map(math.isfinite, ranges)):
+        raise ValueError("attribute extrema and range must be finite")
+    for entry, rng, derived, flag in zip(entries, ranges, params.ranges, params.degenerate):
+        if rng != derived:
+            raise ValueError(f"attribute range {rng!r} is not max - min = {derived!r}")
+        if entry["degenerate"] is not flag:  # a JSON true or false alone
+            raise ValueError("degenerate flag must mark exactly the zero ranges")
+    return params

@@ -40,9 +40,7 @@ from heartcbr.synthetic import write_synthetic_dataset
 
 from conftest import REAL_DATASET, make_case, requires_real_dataset
 
-UNIT_PARAMS = NormalizationParams(
-    mins=(0.0,) * 13, maxs=(1.0,) * 13, ranges=(1.0,) * 13, degenerate=(False,) * 13
-)
+UNIT_PARAMS = NormalizationParams(mins=(0.0,) * 13, maxs=(1.0,) * 13)
 
 
 def announce(number: int, name: str) -> None:

@@ -768,13 +768,15 @@ SPLIT_FILES = ["case_base.csv", "normalization.json", "split_manifest.json", "te
 NO_TRAIN_TARGET = "error: split: case 5: stored cases must have a target"
 EMPTY_SIDE = "error: split: split of 1 cases at fraction 3/5 leaves an empty side"
 TEST_LINE, TRAIN_LINE = (f"error: parse: line {line}: stored case missing target" for line in (42, 7))
+NO_TARGET_COLUMN = "error: parse: missing target column"
 
 # (input, command) -> (exit code, stderr line, files in --out-dir or None when it
 # was never made). A 50-row file splits 30 / 20; "test-side" has no target on
 # row 40 (file line 42), "train-side" none on row 5 (file line 7). Every
 # command but split reads its rows as stored cases, so the parse rejects the
 # row before anything is written; split reads no target of a test row, so it
-# alone succeeds on "test-side".
+# alone succeeds on "test-side". "no-target" is the file without its target
+# column, which those commands reject at the header.
 FAILURES = {
     ("test-side", "split"): (0, None, SPLIT_FILES),
     ("test-side", "evaluate"): (1, TEST_LINE, None),
@@ -794,6 +796,12 @@ FAILURES = {
     ("one-row", "correlate"): (1, "error: correlate: correlation requires at least two cases", None),
     ("one-row", "run-all"): (1, EMPTY_SIDE, None),
     ("one-row", "train-nn"): (1, EMPTY_SIDE, None),
+    ("no-target", "split"): (1, "error: split: case 0: stored cases must have a target", None),
+    ("no-target", "evaluate"): (1, NO_TARGET_COLUMN, None),
+    ("no-target", "stats"): (1, NO_TARGET_COLUMN, None),
+    ("no-target", "correlate"): (1, NO_TARGET_COLUMN, None),
+    ("no-target", "run-all"): (1, NO_TARGET_COLUMN, None),
+    ("no-target", "train-nn"): (1, NO_TARGET_COLUMN, None),
 }
 
 
@@ -813,13 +821,14 @@ def failing_inputs(tmp_path_factory):
         ("test-side", without_target(40)),
         ("train-side", without_target(5)),
         ("one-row", lines[:2]),
+        ("no-target", [line.rsplit(",", 1)[0] for line in lines]),
     ]:
         paths[name] = directory / f"{name}.csv"
         paths[name].write_text("\n".join(content) + "\n", encoding="utf-8")
     return paths
 
 
-@pytest.mark.parametrize("source, command", list(FAILURES), ids="-".join)
+@pytest.mark.parametrize("source, command", list(FAILURES), ids=[f"{s}-{c}" for s, c in FAILURES])
 def test_failure_exit_code_message_and_leftover_files(tmp_path, capsys, failing_inputs, source, command):
     rc_want, err_want, files_want = FAILURES[source, command]
     out = tmp_path / "out"

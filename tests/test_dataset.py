@@ -34,7 +34,7 @@ from heartcbr.dataset import (
     write_case_base,
     write_cases,
 )
-
+from heartcbr.scaling import NormalizationParams, fit_minmax
 from heartcbr.synthetic import generate_rows
 
 from conftest import cases_strategy, in_domain_raw, make_case
@@ -484,37 +484,47 @@ def test_case_base_arrays_keep_given_ids():
     assert base.arrays()[1].tolist() == [3, 7, 8]
 
 
-def test_derived_rows_transform_only_new_rows_while_the_key_stays_equal():
-    seen = []
+def scaled(features, params):
+    """Kernel rows worked out one value at a time: (x - min) / range, raw where degenerate."""
+    return [
+        [x if deg else (x - lo) / rng for x, lo, rng, deg in zip(row, params.mins, params.ranges, params.degenerate)]
+        for row in features.tolist()
+    ]
 
-    def doubled(features):
-        seen.append(len(features))
-        return 2 * features
 
-    base = CaseBase.from_cases([make_case(chol=100 + k) for k in range(3)])
-    first = base.derived_rows(("scale", 2), doubled)
-    assert first.tolist() == (2 * base.arrays()[0]).tolist()
-    # 70 adds grow the arrays to 64, then 128 rows; an equal key transforms the
-    # new rows alone.
-    for k in range(70):
-        base.add(make_case(chol=200 + k))
-    rows = base.derived_rows(("scale", 2), doubled)
-    features = base.arrays()[0]
-    assert rows.tolist() == (2 * features).tolist()
-    # Attribute-major: each attribute of every case is one contiguous row.
-    for attribute, column in enumerate(rows.T):
-        assert column.flags.c_contiguous
-        assert column.tolist() == (2 * features[:, attribute]).tolist()
-    base.derived_rows(("scale", 2), doubled)  # no new rows: nothing to transform
-    # A copy of a stored row adds no distinct row, so nothing to transform.
-    base.add(make_case(chol=100))
-    assert base.derived_rows(("scale", 2), doubled).tolist() == rows.tolist()
-    assert seen == [3, 70]
-    # A different key transforms every distinct row into a new array; views
-    # handed out before it keep their values.
-    assert base.derived_rows(("scale", 3), lambda f: 3 * f).tolist() == (3 * features).tolist()
-    assert first.tolist() == (2 * features[:3]).tolist()
-    assert rows.tolist() == (2 * features).tolist()
+def test_derived_rows_scale_only_new_rows_while_the_params_stay_equal():
+    base = CaseBase.from_cases([make_case(chol=100 + k, age=40 + k) for k in range(3)])
+    params = fit_minmax(base)
+    assert any(params.degenerate) and not all(params.degenerate)
+    with mock.patch.object(
+        NormalizationParams, "kernel_rows", autospec=True, side_effect=NormalizationParams.kernel_rows
+    ) as kernel_rows:
+        first = base.derived_rows(params)
+        assert first.tolist() == scaled(base.arrays()[0], params)
+        # 70 adds grow the arrays to 64, then 128 rows; equal params scale the
+        # new rows alone.
+        for k in range(70):
+            base.add(make_case(chol=200 + k, age=40 + k % 3))
+        same = NormalizationParams(params.mins, params.maxs)
+        rows = base.derived_rows(same)
+        features = base.arrays()[0]
+        assert rows.tolist() == scaled(features, params)
+        # Attribute-major: each attribute of every case is one contiguous row.
+        for attribute, column in enumerate(rows.T):
+            assert column.flags.c_contiguous
+            assert column.tolist() == [row[attribute] for row in scaled(features, params)]
+        base.derived_rows(params)  # no new rows: nothing to scale
+        # A copy of a stored row adds no distinct row, so nothing to scale.
+        base.add(make_case(chol=100, age=40))
+        assert base.derived_rows(params).tolist() == rows.tolist()
+        # New params scale every distinct row into a new array; views handed
+        # out before them keep their values.
+        refit = fit_minmax(base)
+        assert refit != params
+        assert base.derived_rows(refit).tolist() == scaled(features, refit)
+    assert [len(call.args[1]) for call in kernel_rows.call_args_list] == [3, 70, 73]
+    assert first.tolist() == scaled(features[:3], params)
+    assert rows.tolist() == scaled(features, params)
     with pytest.raises(ValueError):
         rows[0, 0] = 0.0
 
@@ -568,7 +578,7 @@ def _oracle_records(source, *, allow_case_id):
             raw_header = next(reader)
         except StopIteration:
             raise DatasetError("empty file: no header row") from None
-        positions = dataset._resolve_header(raw_header, allow_case_id=allow_case_id)
+        positions = dataset._resolve_header(raw_header, case_ids=allow_case_id, stored=False)
         yield positions
         width = len(raw_header)
         names = tuple(positions)

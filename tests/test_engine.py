@@ -24,9 +24,7 @@ from heartcbr.scaling import NormalizationParams, fit_minmax, normalize
 
 from conftest import make_case
 
-UNIT_PARAMS = NormalizationParams(
-    mins=(0.0,) * 13, maxs=(1.0,) * 13, ranges=(1.0,) * 13, degenerate=(False,) * 13
-)
+UNIT_PARAMS = NormalizationParams(mins=(0.0,) * 13, maxs=(1.0,) * 13)
 
 
 def scaled_vectors(min_value=-0.25, max_value=1.25):

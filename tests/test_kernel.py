@@ -211,7 +211,7 @@ def test_global_similarity_adds_attributes_in_order():
     # which a reduction over the attribute axis sums the 13 terms pairwise.
     # With uneven weights that changes the last bit of about one score in six.
     rng = random.Random(13)
-    unit = NormalizationParams((0.0,) * 13, (1.0,) * 13, (1.0,) * 13, (False,) * 13)
+    unit = NormalizationParams((0.0,) * 13, (1.0,) * 13)
     for _ in range(2000):
         weights = tuple(rng.choice(UNEVEN_WEIGHTS) for _ in range(13))
         query = [rng.uniform(-0.5, 1.5) for _ in range(13)]

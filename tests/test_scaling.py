@@ -84,11 +84,27 @@ def test_length_mismatch_rejected():
         fit_from_vectors([(0.0,), (1.0, 2.0)])
 
 
-def test_params_invariants_enforced():
-    with pytest.raises(ValueError):
-        NormalizationParams((0.0,), (1.0,), (1.0,), (True,))
-    with pytest.raises(ValueError):
-        NormalizationParams((0.0,), (1.0,), (-1.0,), (False,))
+def test_params_derive_ranges_and_flags_from_the_extrema():
+    params = NormalizationParams((0.0, 2.0, -0.5), (1.0, 2.0, 0.25))
+    assert params.ranges == (1.0, 0.0, 0.75)
+    assert params.degenerate == (False, True, False)
+    assert params == NormalizationParams([0.0, 2.0, -0.5], [1.0, 2.0, 0.25])
+    assert repr(params) == "NormalizationParams(mins=(0.0, 2.0, -0.5), maxs=(1.0, 2.0, 0.25))"
+
+
+@pytest.mark.parametrize(
+    "mins, maxs, message",
+    [
+        ((0.0,), (1.0, 2.0), "equal length"),
+        ((1.0,), (0.0,), "below its min"),
+        ((math.nan,), (1.0,), "finite"),
+        ((0.0,), (math.inf,), "finite"),
+        ((-1e308,), (1e308,), "finite"),  # the range overflows
+    ],
+)
+def test_params_reject_bad_extrema(mins, maxs, message):
+    with pytest.raises(ValueError, match=message):
+        NormalizationParams(mins, maxs)
 
 
 @given(cases_strategy(min_size=1, max_size=15))
@@ -202,17 +218,22 @@ def test_retain_keeps_the_params_object_exactly_while_no_extremum_moves(start, a
 
 
 def edited_sidecar(tmp_path, chol):
-    """The sidecar with chol's entry updated by ``chol``, or without it if ``chol`` is None."""
+    """The sidecar with chol's entry updated by ``chol``, without that key if it is a str, or without chol if None."""
     params = fit_minmax(CaseBase.from_cases([make_case(chol=100), make_case(chol=300)]))
     path = tmp_path / "normalization.json"
     write_params(params, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     if chol is None:
         del payload["chol"]
+    elif isinstance(chol, str):
+        del payload["chol"][chol]
     else:
         payload["chol"].update(chol)
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+FLAG_MISMATCH = "^degenerate flag must mark exactly the zero ranges$"
 
 
 @pytest.mark.parametrize(
@@ -224,8 +245,19 @@ def edited_sidecar(tmp_path, chol):
         ({"min": 300.0, "max": 100.0, "range": -200.0}, "below its min"),
         ({"range": 150.0}, "not max - min"),
         (None, "^sidecar missing attributes: chol$"),
+        *[(key, f"^sidecar attribute chol has no '{key}'$") for key in ("min", "max", "range", "degenerate")],
+        ({"degenerate": True}, FLAG_MISMATCH),
+        ({"degenerate": 0}, FLAG_MISMATCH),  # a JSON boolean alone is a flag
+        ({"min": 300.0, "range": 0.0, "degenerate": "no"}, FLAG_MISMATCH),
+        ({"min": 300.0, "range": 0.0, "degenerate": 1}, FLAG_MISMATCH),
+        ({"min": 300.0, "range": 0.0, "degenerate": False}, FLAG_MISMATCH),
     ],
-    ids=["nan-min", "inf-max", "inf-range", "max-below-min", "range-mismatch", "missing-attribute"],
+    ids=[
+        "nan-min", "inf-max", "inf-range", "max-below-min", "range-mismatch", "missing-attribute",
+        "no-min", "no-max", "no-range", "no-degenerate",
+        "flag-on-nonzero-range", "zero-flag-on-nonzero-range", "string-flag-on-zero-range",
+        "one-flag-on-zero-range", "flag-off-zero-range",
+    ],
 )
 def test_read_params_rejects_hand_edited_sidecar(tmp_path, edit, message):
     with pytest.raises(ValueError, match=message):
