@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import accuracy
-from .dataset import _read_json, _write_json, _write_rows
+from .dataset import _write_json, _write_rows
 
 DEFAULT_SIZES = (13, 3, 2)
 
@@ -289,11 +289,6 @@ def train_mlp(
     return model, mse_log
 
 
-def predict_mlp(model: MlpModel, inputs: Sequence[float]) -> int:
-    """Class of the larger output unit; ties resolve to class 0."""
-    return _predict(*_weight_lists(model), _with_bias(inputs, model.sizes[0]))
-
-
 def evaluate_mlp(
     model: MlpModel, vectors: Sequence[Sequence[float]], labels: Sequence[int]
 ) -> float:
@@ -313,17 +308,6 @@ def write_model(model: MlpModel, path) -> None:
         "w_out": model.w_out.tolist(),
     }
     _write_json(path, payload)
-
-
-def read_model(path) -> MlpModel:
-    payload = _read_json(path)
-    return MlpModel(
-        sizes=tuple(payload["sizes"]),
-        w_hidden=np.array(payload["w_hidden"], dtype=np.float64),
-        w_out=np.array(payload["w_out"], dtype=np.float64),
-        eta=float(payload["eta"]),
-        seed=int(payload["seed"]),
-    )
 
 
 def write_training_log(mse_log: Sequence[float], path) -> None:

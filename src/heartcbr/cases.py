@@ -1,16 +1,15 @@
 """Validated patient records for the 13-attribute heart-disease schema.
 
-A :class:`Case` is a single patient: thirteen clinical input attributes plus
-an optional binary diagnosis. Attribute order is frozen in
-:data:`FEATURE_NAMES`; every weight vector and similarity computation in the
-package indexes against that order.
+A :class:`Case` is one patient: 13 clinical attributes, in the order frozen in
+:data:`FEATURE_NAMES` that every weight vector and similarity indexes, plus an
+optional binary diagnosis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import attrgetter, is_
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -82,41 +81,40 @@ def _shown(value: object) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-def _within_float_range(field: str, value: int) -> int:
-    """``value``, if float() can convert it; the message of a rejected one shows none of its digits."""
-    try:
-        float(value)
-    except OverflowError:
-        raise CaseValidationError(f"{field}: integer outside the float range") from None
-    return value
+INT_BOUND = 2**53  # float64 holds every integer in [-INT_BOUND, INT_BOUND] exactly
+
+
+def bounded(field: str, value):
+    """``value`` if it lies in [-2**53, 2**53], so float64 holds it exactly; the error shows none of its digits."""
+    if -INT_BOUND <= value <= INT_BOUND:
+        return value
+    raise CaseValidationError(f"{field}: integer outside [-2**53, 2**53]")
 
 
 def _parse_int(field: str, value: object) -> int:
     if isinstance(value, bool):
         raise CaseValidationError(f"{field}: non-integer value {_shown(value)}")
     if isinstance(value, int):
-        return _within_float_range(field, value)
+        return bounded(field, value)
     if isinstance(value, float):
-        if not math.isfinite(value) or not value.is_integer():
+        if not value.is_integer():  # nan and inf included
             raise CaseValidationError(f"{field}: non-integer value {_shown(value)}")
-        return int(value)
+        return int(bounded(field, value))
     text = str(value).strip()
     try:
         result = int(text)
     except ValueError:
         pass
     else:
-        return _within_float_range(field, result)
+        return bounded(field, result)
     try:
         as_float = float(text)
     except ValueError:
         raise CaseValidationError(f"{field}: non-numeric value {_shown(value)}") from None
-    if math.isinf(as_float) and text.lstrip("+-").replace("_", "").isdecimal():
-        # Integer text past int()'s digit limit: float() takes it, to inf.
-        raise CaseValidationError(f"{field}: integer outside the float range")
-    if not math.isfinite(as_float) or not as_float.is_integer():
+    # int() refuses integer text past 4,300 digits, which float() reads as inf.
+    if not (as_float.is_integer() or math.isinf(as_float) and text.lstrip("+-").replace("_", "").isdecimal()):
         raise CaseValidationError(f"{field}: non-integer value {_shown(value)}")
-    return int(as_float)
+    return int(bounded(field, as_float))
 
 
 def _parse_float(field: str, value: object) -> float:
@@ -138,42 +136,44 @@ BLOCK_ROWS = 256  # records the block branch converts at once, to bound its tran
 _CONVERTERS = tuple(float if name == "oldpeak" else int for name in FEATURE_NAMES)
 _OLDPEAK_AT = FEATURE_NAMES.index("oldpeak")
 _DOMAINS_AT = tuple((FEATURE_NAMES.index(name), domain) for name, domain in CATEGORICAL_DOMAINS.items())
+# Integer columns without a code domain: a code outside its domain is refused on its own.
+_UNCODED_AT = tuple(map(FEATURE_NAMES.index, ("age", "trestbps", "chol", "thalach")))
 _TARGETS = {None: None, "": None, "0": 0, "1": 1}
 _STORED_TARGETS = {"0": 0, "1": 1}
 _REFUSED = object()  # a target the lookup does not take
 
 
-def accepted_block(fields, targets, *, stored: bool = False) -> tuple[list[Case], list[int]]:
-    """The cases of a block of csv records given column by column, and the rows it refuses.
+def accepted_block(fields, targets, *, stored: bool = False) -> tuple[list[list], list[int]]:
+    """The values of a block of csv records given column by column, and the rows it refuses.
 
     ``fields`` holds 13 columns of csv text in FEATURE_NAMES order,
-    ``targets`` the target column (None where the file has none), each one
-    value per record. Each column is converted in one C-level pass,
-    ``map(int, ...)`` or ``map(float, ...)`` for oldpeak, and one
-    ``math.fsum`` over the block converts every value as float() does. If
-    any conversion fails, or an oldpeak is not finite and non-negative,
-    every record of the block is refused. Otherwise a record is refused on
-    its own for a categorical code outside its domain or a target other
-    than ``"0"`` or ``"1"`` (or, unless ``stored``, blank or absent).
-    ``int(text)`` accepts a subset of what ``int(text.strip())`` accepts
-    (U+001C-U+001F padding is stripped but not ignored by ``int``) and
-    returns the same value, so every case built here is the one the
-    per-field parsers build.
+    ``targets`` the target column (None where the file has none). Each column
+    is converted in one C-level pass, ``map(int, ...)`` or ``map(float, ...)``
+    for oldpeak. A failed conversion, an integer of a column without a code
+    domain past :func:`bounded`'s bound, or an oldpeak that is not finite and
+    non-negative refuses the whole block; a categorical code outside its
+    domain or a target other than ``"0"`` or ``"1"`` (or, unless ``stored``,
+    blank or absent) refuses its own record. ``int(text)`` takes a subset of
+    what ``int(text.strip())`` takes, with the same value (U+001C-U+001F
+    padding is stripped but not ignored by ``int``).
 
-    Returns the cases in order, with an unspecified value at each refused
-    position, and the refused positions in ascending order: every record
-    that would warn or fail is among them, and only :func:`validate_case`
-    may decide what they hold.
+    Returns the 13 attribute columns and the target column, each unspecified
+    at a refused position, and the refused positions in ascending order: every
+    record that would warn or fail, which only :func:`validate_case` decides.
     """
+    n = len(targets)
     try:
         columns = [list(map(convert, column)) for convert, column in zip(_CONVERTERS, fields)]
-        # Raises for an int past the float range or a sum past it (two 10**308
-        # in one block); a nan or inf oldpeak makes the sum non-finite.
-        converted = math.isfinite(math.fsum(chain.from_iterable(columns)))
-    except (ValueError, OverflowError):
+        for at in _UNCODED_AT:
+            bounded(FEATURE_NAMES[at], min(columns[at]))
+            bounded(FEATURE_NAMES[at], max(columns[at]))
+        oldpeak = columns[_OLDPEAK_AT]
+        # The sum of the block's oldpeaks is finite only if each one is (nan too).
+        converted = math.isfinite(sum(oldpeak)) and min(oldpeak) >= 0.0
+    except ValueError:  # CaseValidationError included
         converted = False
-    if not (converted and min(columns[_OLDPEAK_AT]) >= 0.0):
-        return [None] * len(targets), list(range(len(targets)))
+    if not converted:
+        return [[None] * n for _ in range(N_FEATURES + 1)], list(range(n))
     refused: set[int] = set()
     for at, domain in _DOMAINS_AT:
         codes = columns[at]
@@ -182,10 +182,8 @@ def accepted_block(fields, targets, *, stored: bool = False) -> tuple[list[Case]
     solved = list(map((_STORED_TARGETS if stored else _TARGETS).get, targets, repeat(_REFUSED)))
     if _REFUSED in solved:
         refused.update(compress(count(), map(is_, solved, repeat(_REFUSED))))
-    # Built through the dataclass __init__: filling __dict__ directly is about
-    # 1.5 us faster, but it gives every case a dict of its own, which costs
-    # 64 bytes a case and makes each attribute read from Python slower.
-    return list(map(Case, *columns, solved)), sorted(refused)
+    columns.append(solved)
+    return columns, sorted(refused)
 
 
 def check_mode(mode: str) -> None:
@@ -195,34 +193,24 @@ def check_mode(mode: str) -> None:
 
 
 def validate_case(raw, mode: str = "lenient") -> tuple[Case, list[str]]:
-    """Parse and validate one raw record.
+    """Parse and validate one raw record; return the :class:`Case` and its warnings.
 
     ``raw`` maps field names to textual or numeric values; all 13 input
     fields must be present, ``target`` is optional (an empty string counts
     as absent). Strict mode rejects every out-of-domain categorical code;
-    lenient mode accepts out-of-domain integer codes for ca and thal and
-    returns one warning per violation.
-
-    Returns the validated :class:`Case` and the list of warnings. Raises
-    :class:`CaseValidationError` on missing fields, non-numeric text,
-    integers that float() cannot convert, out-of-domain values (strict) or
-    negative oldpeak.
-
-    The per-field parsers below are the rules. The block branch that reads
-    csv files (:func:`accepted_block`) may only accept what they accept, and
-    every row it refuses is sent here, one at a time, in file order.
+    lenient mode accepts out-of-domain codes for ca and thal, one warning
+    each. Raises :class:`CaseValidationError` on missing fields, non-numeric
+    text, integers past 2**53 (:func:`bounded`), out-of-domain values or
+    negative oldpeak. These per-field parsers are the rules: the block
+    branch (:func:`accepted_block`) may only accept what they accept, and
+    sends every row it refuses here, one at a time, in file order.
     """
     check_mode(mode)
     missing = [name for name in FEATURE_NAMES if name not in raw]
     if missing:
         raise CaseValidationError(f"missing fields: {', '.join(missing)}")
 
-    values: dict[str, int | float] = {}
-    for name in FEATURE_NAMES:
-        if name == "oldpeak":
-            values[name] = _parse_float(name, raw[name])
-        else:
-            values[name] = _parse_int(name, raw[name])
+    values = {name: (_parse_float if name == "oldpeak" else _parse_int)(name, raw[name]) for name in FEATURE_NAMES}
 
     if values["oldpeak"] < 0:
         raise CaseValidationError(f"oldpeak: negative value {_shown(values['oldpeak'])}")
@@ -252,6 +240,8 @@ def validate_case(raw, mode: str = "lenient") -> tuple[Case, list[str]]:
 
 
 _feature_values = attrgetter(*FEATURE_NAMES)
+_INT_NAMES = tuple(name for name in FEATURE_NAMES if name != "oldpeak")
+_int_values = attrgetter(*_INT_NAMES)
 
 
 def to_feature_vector(case: Case) -> FeatureVector:

@@ -1,16 +1,13 @@
-"""Command-line pipeline: split, predict, evaluate, stats, correlate, train-nn.
+"""Command-line pipeline: split, predict, evaluate, stats, correlate, train-nn, run-all.
 
 Every subcommand is deterministic given its flags and inputs and exits 0
-only on success. All but ``predict`` write files (JSON reports, CSV tables)
-into --out-dir and read --input's rows as stored cases, so the parse rejects
-a missing target column or target (``split`` lets test rows lack one).
-``run-all`` runs the steps of split, evaluate, stats and correlate on one parse.
-
+only on success. All but ``predict`` read --input's rows as stored cases
+(``split`` lets test rows lack a target) and write files into --out-dir;
+``run-all`` runs split, evaluate, stats and correlate on one parse.
 ``predict`` fits the scaling from ``case_base.csv`` on every run and never
-reads ``normalization.json``, the export that ``split`` and ``--retain`` write.
-``--retain`` replaces each file whole: a temporary sibling, then ``os.replace``.
-It locks the directory (``flock``, no lock file) from the read to the last
-replace, so concurrent retains queue up; a plain ``predict`` locks it shared.
+reads ``normalization.json``. ``--retain`` replaces each file through a
+temporary sibling, holding an exclusive ``flock`` on the directory from the
+read to the last replace; a plain ``predict`` holds it shared.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ import os
 import stat
 import sys
 from contextlib import suppress
+from fractions import Fraction
 from pathlib import Path
 
 from . import analytics, baselines, reports
@@ -50,16 +48,15 @@ def _stage(name: str, fn, *args, **kwargs):
         raise CliError(f"{name}: {exc}") from exc
 
 
-def _fraction_flag(text: str):
-    from fractions import Fraction
-
+def _fraction_flag(text: str) -> str:
+    """Check --train-fraction and return it as typed, for messages to show (``1e-300``, not 301 digits)."""
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(f"train fraction {text!r} outside (0, 1)")
-    return value
+    return text
 
 
 def _weights_flag(text: str) -> SimilarityConfig:
@@ -78,6 +75,13 @@ def _weights_flag(text: str) -> SimilarityConfig:
 
 def _mode(args) -> str:
     return "strict" if args.strict else "lenient"
+
+
+def _check_out_dir(out_dir: str) -> None:
+    """Fail unless --out-dir is a directory or its nearest existing ancestor is one; nothing is made here."""
+    existing = next(path for path in (Path(out_dir), *Path(out_dir).parents) if path.exists())
+    if not existing.is_dir():
+        raise CliError(f"write: --out-dir {out_dir}: {existing} is not a directory")
 
 
 def _out_dir(args) -> Path:
@@ -106,7 +110,7 @@ def _write_split_artifacts(args, split) -> None:
         "total": len(split.train) + len(split.test),
         "train": len(split.train),
         "test": len(split.test),
-        "train_fraction": float(args.train_fraction),
+        "train_fraction": float(Fraction(args.train_fraction)),
     }
     _stage("write", reports.write_json, out / "split_manifest.json", manifest)
 
@@ -121,7 +125,7 @@ def _evaluate(args, split):
 
 def _write_evaluation(args, report) -> None:
     config = {
-        "train_fraction": float(args.train_fraction),
+        "train_fraction": float(Fraction(args.train_fraction)),
         "weights": list(args.config.weights),
         "incremental_retain": args.incremental_retain,
         "validation_mode": _mode(args),
@@ -365,6 +369,8 @@ def main(argv=None) -> int:
         # The level is set on every call; basicConfig only adds the stderr handler once.
         logging.basicConfig()
         logging.getLogger("heartcbr").setLevel(logging.DEBUG if args.verbose else logging.WARNING)
+        if hasattr(args, "out_dir"):
+            _check_out_dir(args.out_dir)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

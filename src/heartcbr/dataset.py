@@ -1,13 +1,8 @@
 """CSV ingestion, sequential train/test splitting, and case-base persistence.
 
-Every file written here is overwritten in place: opened without truncating,
-written from the start, then cut to its new length. The file keeps its inode
-and mode, and a reader may see a mix of old and new bytes while it is being
-written, so no write is atomic. Truncating a non-empty file to zero first, as
-``open(path, "w")`` does, makes ext4 (``auto_da_alloc``) start writeback of
-the new data at close, which costs a small file many times its write.
-Callers that need atomicity write a temporary sibling and ``os.replace`` it,
-as ``predict --retain`` does for ``case_base.csv`` and ``normalization.json``.
+Every file written here is overwritten in place (:func:`_overwritten`), so no
+write is atomic: callers that need atomicity write a temporary sibling and
+``os.replace`` it, as ``predict --retain`` does.
 """
 
 from __future__ import annotations
@@ -33,12 +28,16 @@ import numpy as np
 from .cases import (
     BLOCK_ROWS,
     FEATURE_NAMES,
+    INT_BOUND,
+    _INT_NAMES,
     N_FEATURES,
     TARGET_NAME,
     Case,
     CaseValidationError,
     _feature_values,
+    _int_values,
     accepted_block,
+    bounded,
     check_mode,
     to_feature_vector,
     validate_case,
@@ -52,6 +51,8 @@ CANONICAL_HEADER: tuple[str, ...] = FEATURE_NAMES + (TARGET_NAME,)
 HEADER_ALIASES = {"gender": "sex", "resttbps": "trestbps"}
 CASE_ID_COLUMN = "case_id"
 _ROW_BYTES = np.dtype((np.void, N_FEATURES * 8))  # a raw feature row as one bytes value
+_OLDPEAK_AT = FEATURE_NAMES.index("oldpeak")
+_INT_AT = [at for at in range(N_FEATURES) if at != _OLDPEAK_AT]
 
 
 class DatasetError(ValueError):
@@ -64,9 +65,8 @@ class DegenerateSplitError(DatasetError):
 
 def feature_matrix(cases: Sequence[Case]) -> np.ndarray:
     """Raw feature vectors of ``cases`` as an n x 13 float64 matrix."""
-    n = len(cases)
     values = chain.from_iterable(map(_feature_values, cases))
-    return np.fromiter(values, np.float64, n * N_FEATURES).reshape(n, N_FEATURES)
+    return np.fromiter(values, np.float64, len(cases) * N_FEATURES).reshape(-1, N_FEATURES)
 
 
 class CaseBase:
@@ -76,25 +76,22 @@ class CaseBase:
     insertion order and never reused, every stored case carries a target,
     and existing entries are never mutated (retain only appends). Single
     writer, any number of concurrent readers: a read must not overlap
-    :meth:`add`, but reads may overlap each other, and no read changes what
-    another reads.
+    :meth:`add`, and no read changes what another reads.
 
-    Retrieval reads :meth:`arrays` (raw features, ids, targets),
-    :meth:`distinct` (the distinct raw feature rows) and :meth:`extrema`
-    (column minima and maxima). The constructor builds them all in one
-    batch, with no spare row. :meth:`add` alone makes room: when the arrays
-    are full it doubles them (to at least 64 rows). It writes each new case
-    into a spare row, widens the extrema, looks the row up in the distinct
-    index (one dict lookup) and replaces the read-only views, so a reader
-    keeps views that agree with each other. The ids array is the only copy
-    of the ids; the cases are kept too, as they hold integers past 2**53
-    exactly. It alone invalidates its caches: :meth:`derived_rows` (the
-    engine's scaled distinct rows, attribute-major) and :meth:`fitted` (a
-    fit of the extrema, kept until their bits move).
+    The arrays are the store. Every integer attribute lies within 2**53
+    (:func:`cases.bounded`), so float64 holds it exactly, and :meth:`cases`
+    builds the :class:`Case` objects from the arrays on first use; a base
+    built from cases keeps the list it was given. Retrieval reads
+    :meth:`arrays`, :meth:`distinct` and :meth:`extrema`, built in one batch
+    with no spare row. :meth:`add` alone makes room, doubling the arrays (to
+    at least 64 rows) when full; it writes the new row, widens the extrema,
+    looks the row up in the distinct index and replaces the read-only views,
+    so a reader keeps views that agree with each other. It alone invalidates
+    the caches, :meth:`derived_rows` and :meth:`fitted`.
     """
 
     def __init__(self, entries: Iterable[tuple[int, Case]] = ()):
-        self._cases: list[Case] = []
+        cases: list[Case] = []
         ids: list[int] = []
         for case_id, case in entries:
             if case.target is None:
@@ -103,14 +100,25 @@ class CaseBase:
             if not last < case_id < 2**63:
                 raise DatasetError(_id_fault(case_id, last))
             ids.append(case_id)
-            self._cases.append(case)
-        features = feature_matrix(self._cases)
+            cases.append(case)
+        features = feature_matrix(cases)  # OverflowError for an integer past the float range
+        # float() is monotone: only a row that reaches 2**53 may hold an integer past it.
+        for row in np.flatnonzero(np.abs(features).max(axis=1, initial=0.0) >= INT_BOUND):
+            _check_bounds(ids[row], cases[row])
+        targets = [case.target for case in cases]
+        self._build(features, np.array(ids, dtype=np.int64), np.array(targets, dtype=np.int64), cases)
+
+    @classmethod
+    def from_cases(cls, cases: Iterable[Case]) -> "CaseBase":
+        return cls(enumerate(cases))
+
+    def _build(self, features, ids, targets, cases: list[Case] | None) -> None:
+        """The store over n x 13 float64 features, int64 ids and targets; None ``cases`` are built on demand."""
+        self._cases = cases
         # Column (minima, maxima) of the rows in use.
         self._lo = features.min(axis=0, initial=np.inf)
         self._hi = features.max(axis=0, initial=-np.inf)
-        targets = [case.target for case in self._cases]
-        built = (features, np.array(ids, dtype=np.int64), np.array(targets, dtype=np.int64))
-        self._set_arrays(built + tuple(np.empty((2, len(features)), dtype=np.int64)))
+        self._set_arrays((features, ids, targets) + tuple(np.empty((2, len(features)), dtype=np.int64)))
         # Bytes of a raw feature row -> its distinct row, numbered in order of
         # first occurrence. Bytes keys take about a third of the memory of
         # float tuples, and the collector never scans them.
@@ -121,11 +129,7 @@ class CaseBase:
         # distinct rows. No params equal the initial object().
         self._derived: tuple[object, np.ndarray, int] = (object(), np.empty((0, 0)), 0)
         self._fitted: tuple = (None, None)  # (key, value) of fitted()
-        self._publish()
-
-    @classmethod
-    def from_cases(cls, cases: Iterable[Case]) -> "CaseBase":
-        return cls(enumerate(cases))
+        self._publish(len(features))
 
     def _set_arrays(self, arrays: tuple[np.ndarray, ...]) -> None:
         # (features, ids, targets, first, columns): the first len(self) rows
@@ -147,8 +151,7 @@ class CaseBase:
             if column == n_distinct:
                 first[column] = row
 
-    def _publish(self) -> None:
-        n = len(self._cases)
+    def _publish(self, n: int) -> None:
         features, ids, targets, first, columns = self._read_only
         self._views = (features[:n], ids[:n], targets[:n], first[: len(self._first_of)], columns[:n])
 
@@ -161,20 +164,16 @@ class CaseBase:
 
         Distinct rows are numbered in order of first occurrence: ``first[c]``
         is the position in :meth:`arrays` of the first row equal to distinct
-        row c, and ``columns[r]`` is the distinct row that row r equals. Rows
-        are compared on the bits of all 13 raw float64 values, never on the
-        target, so copies stored under other targets share a column whose
-        ``first`` is the lowest position among them. 0.0 and -0.0 differ in
-        their bits, so rows that differ only there get two columns (with
-        equal scores).
+        row c, and ``columns[r]`` the distinct row that row r equals. Rows are
+        compared on the bits of their 13 raw values, never on the target, so
+        0.0 and -0.0 make two columns (with equal scores).
         """
         return self._views[3:]
 
     def extrema(self) -> tuple[list[float], list[float]]:
         """Column minima and maxima of the raw features (inf and -inf when empty).
 
-        Min and max are exact, so widening them one added row at a time gives
-        the same floats, signed zeros included, as reducing all of :meth:`arrays`.
+        They are exact, so widening them row by row gives the bits, signed zeros included, of reducing all rows.
         """
         return self._lo.tolist(), self._hi.tolist()
 
@@ -188,14 +187,11 @@ class CaseBase:
     def derived_rows(self, params) -> np.ndarray:
         """Read-only ``params.kernel_rows`` of the distinct feature rows, cached while the params stay equal.
 
-        Row c is the kernel row of distinct row c, at ``first[c]`` of
-        :meth:`distinct`. ``kernel_rows`` scales each row on its own, so
-        scaling only the distinct rows added since the last call gives the
-        bits of scaling them all. The cache is attribute-major (attributes x
-        capacity), so the result's ``.T`` has one contiguous row per
-        attribute. New rows fill spare columns; params not equal to the
-        cached ones scale every distinct row into a new array, so views
-        handed out earlier never change.
+        ``kernel_rows`` scales each row on its own, so scaling only the rows
+        added since the last call gives the bits of scaling them all. The cache
+        is attribute-major (attributes x capacity), so the result's ``.T`` has
+        one contiguous row per attribute. New params scale every distinct row
+        into a new array, so views handed out earlier never change.
         """
         features, _, _, first, _ = self._views
         n = len(first)
@@ -218,46 +214,64 @@ class CaseBase:
 
     def add(self, case: Case) -> int:
         """Append a solved case under a fresh id and return that id."""
-        row = len(self._cases)
+        row = len(self)
         case_id = int(self._arrays[1][row - 1]) + 1 if row else 0
         if case.target is None:
             raise DatasetError(f"case {case_id}: stored cases must have a target")
         if case_id == 2**63:
             raise DatasetError(f"no case id left: the last id is {case_id - 1}, the largest below 2**63")
+        vector = to_feature_vector(case)  # OverflowError for an integer past the float range
+        if not (-INT_BOUND < min(vector) and max(vector) < INT_BOUND):  # float() is monotone
+            _check_bounds(case_id, case)
         if row == len(self._arrays[0]):
             self._set_arrays(tuple(_grown(array, max(2 * row, 64)) for array in self._arrays))
         features, ids, targets, _, _ = self._arrays
-        features[row] = to_feature_vector(case)
+        features[row] = vector
         ids[row] = case_id
         targets[row] = case.target
-        # np.minimum/np.maximum are the ufuncs behind the column reductions in
-        # __init__, so ties between 0.0 and -0.0 resolve the same way.
+        # np.minimum/np.maximum are the ufuncs behind _build's column reductions: 0.0 and -0.0 tie alike.
         self._lo = np.minimum(self._lo, features[row])
         self._hi = np.maximum(self._hi, features[row])
         self._index(row, row + 1)
-        self._cases.append(case)
-        self._publish()
+        if self._cases is not None:
+            self._cases.append(case)
+        self._publish(row + 1)
         return case_id
 
+    def _columns(self) -> list[list]:
+        """The 13 attributes (ints, oldpeak a float) and the targets as stored, one list per column."""
+        features, _, targets, _, _ = self._views
+        columns = features[:, _INT_AT].T.astype(np.int64).tolist()
+        columns.insert(_OLDPEAK_AT, features[:, _OLDPEAK_AT].tolist())
+        return columns + [targets.tolist()]
+
     def cases(self) -> list[Case]:
+        if self._cases is None:
+            self._cases = list(map(Case, *self._columns()))
         return list(self._cases)
 
     def ids(self) -> list[int]:
         return self._views[1].tolist()
 
     def __iter__(self) -> Iterator[tuple[int, Case]]:
-        return zip(self.ids(), self._cases)
+        return zip(self.ids(), self.cases())
 
     def __len__(self) -> int:
-        return len(self._cases)
+        return len(self._views[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CaseBase):
             return NotImplemented
-        return self.ids() == other.ids() and self._cases == other._cases
+        return self.ids() == other.ids() and self.cases() == other.cases()
 
-    def __repr__(self) -> str:
-        return f"CaseBase(n={len(self)})"
+
+def _check_bounds(case_id: int, case: Case) -> None:
+    """Raise :class:`DatasetError` unless :func:`cases.bounded` takes each integer attribute of ``case``."""
+    try:
+        for name, value in zip(_INT_NAMES, _int_values(case)):
+            bounded(name, value)
+    except CaseValidationError as exc:
+        raise DatasetError(f"case {case_id}: {exc}") from None
 
 
 def _id_fault(case_id: int, last: int) -> str:
@@ -315,12 +329,12 @@ def _blocks(source, *, case_ids: bool = False, stored: bool = False) -> Iterator
     """Yield the header's column positions, then ``(line numbers, rows)`` of up to BLOCK_ROWS rows.
 
     ``source`` is a path, opened as UTF-8, or an open text stream, left open.
-    Blank rows are skipped; a row of another width than the header raises
-    :class:`DatasetError` citing its 1-based file line, once the rows before
-    it have been yielded, so a fault among them is found first. The two lists
-    of a block are emptied in place when the next block is asked for, so the
-    caller's names for them do not keep a second block alive while it fills.
-    Close the generator (``contextlib.closing``) to release a file opened here.
+    Blank rows are skipped. A row of another width than the header raises
+    :class:`DatasetError` citing its 1-based file line, after the rows before
+    it are yielded; so does a byte of a path that is not UTF-8, found by
+    reading the file again (the stream decodes ahead, so rows just before it
+    may not be yielded). A block's lists are emptied in place for the next.
+    Close the generator (``contextlib.closing``) to release the file.
     """
     if isinstance(source, (str, Path)):
         opened = open(source, "r", encoding="utf-8", newline="")
@@ -328,49 +342,57 @@ def _blocks(source, *, case_ids: bool = False, stored: bool = False) -> Iterator
         opened = nullcontext(source)
     else:
         raise TypeError(f"unsupported source type {type(source)!r}")
-    with opened as stream:
-        reader = csv.reader(stream)
-        try:
-            raw_header = next(reader)
-        except StopIteration:
-            raise DatasetError("empty file: no header row") from None
-        yield _resolve_header(raw_header, case_ids=case_ids, stored=stored)
-        width = len(raw_header)
-        lines: list[int] = []
-        rows: list[list[str]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != width:
-                if rows:
+    try:
+        with opened as stream:
+            reader = csv.reader(stream)
+            try:
+                raw_header = next(reader)
+            except StopIteration:
+                raise DatasetError("empty file: no header row") from None
+            yield _resolve_header(raw_header, case_ids=case_ids, stored=stored)
+            width = len(raw_header)
+            lines: list[int] = []
+            rows: list[list[str]] = []
+            for line_no, row in enumerate(reader, start=2):
+                if not any(map(str.strip, row)):
+                    continue
+                if len(row) != width:
+                    if rows:
+                        yield lines, rows
+                    raise DatasetError(f"line {line_no}: expected {width} fields, found {len(row)}")
+                lines.append(line_no)
+                rows.append(row)
+                if len(rows) == BLOCK_ROWS:
                     yield lines, rows
-                raise DatasetError(f"line {line_no}: expected {width} fields, found {len(row)}")
-            lines.append(line_no)
-            rows.append(row)
-            if len(rows) == BLOCK_ROWS:
+                    lines.clear()
+                    rows.clear()
+            if rows:
                 yield lines, rows
-                lines.clear()
-                rows.clear()
-        if rows:
-            yield lines, rows
+    except UnicodeDecodeError:
+        if not isinstance(source, (str, Path)):
+            raise
+        with open(source, "rb") as binary:  # no UTF-8 sequence holds a newline byte
+            for number, data in enumerate(binary, start=1):
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DatasetError(f"line {number}: invalid UTF-8: {exc}") from None
+        raise
 
 
-def _validated(lines, rows, positions, mode: str, warning_counts: Counter, *, stored: bool = False) -> list[Case]:
-    """The cases of a block of csv rows, raising :class:`DatasetError` at the first fault in file order.
+def _validated(lines, rows, positions, mode: str, warning_counts: Counter, *, stored: bool = False) -> list[list]:
+    """The 13 attribute columns and the target column of a block of csv rows (a ``stored`` row must hold a target).
 
-    The block branch (:func:`accepted_block`) converts the csv text column
-    by column: a value it cannot convert refuses the whole block, a domain
-    code or target only its own row. Each refused row goes through
-    :func:`validate_case` on its own, in file order, which alone warns
-    (counted by field into ``warning_counts``) or rejects. A ``stored`` row
-    must hold a target.
+    Each row :func:`accepted_block` refuses goes through :func:`validate_case`
+    in file order, which alone warns (counted by field into ``warning_counts``)
+    or rejects, as :class:`DatasetError` citing the row's line.
     """
     check_mode(mode)
     columns = list(zip(*rows))
     fields = [columns[positions[name]] for name in FEATURE_NAMES]
     at = positions.get(TARGET_NAME)
     targets = (None,) * len(rows) if at is None else columns[at]
-    cases, refused = accepted_block(fields, targets, stored=stored)
+    columns, refused = accepted_block(fields, targets, stored=stored)
     for row in refused:
         raw = {name: rows[row][column] for name, column in positions.items()}
         try:
@@ -381,8 +403,9 @@ def _validated(lines, rows, positions, mode: str, warning_counts: Counter, *, st
             raise DatasetError(f"line {lines[row]}: stored case missing target")
         for message in warnings:
             warning_counts[message.split(":", 1)[0]] += 1
-        cases[row] = case
-    return cases
+        for column, value in zip(columns, _case_values(case)):
+            column[row] = value
+    return columns
 
 
 def parse_csv(source, mode: str = "lenient", *, stored: bool = False) -> list[Case]:
@@ -390,54 +413,43 @@ def parse_csv(source, mode: str = "lenient", *, stored: bool = False) -> list[Ca
 
     The first row must be a header with the 13 attribute columns (aliases
     accepted, case-insensitive, after one leading byte-order mark) and, if
-    ``stored``, a target column, which is optional otherwise. Rows are read
-    as csv text and validated in blocks of at most BLOCK_ROWS rows, column
-    by column. A value the block branch cannot convert sends its whole block
-    to :func:`validate_case` row by row; an out-of-domain code or a target
-    other than "0", "1" or blank sends only its own row. Row-level failures
-    raise :class:`DatasetError` citing the 1-based file line; the first
-    fault in file order wins, a row of the wrong width included. With
-    ``stored``, every row must hold a target too, as a case-base row must.
-    Lenient-mode domain warnings are aggregated into one log message.
+    ``stored``, a target column; then every row must hold a target. Rows are
+    validated in blocks (:func:`_validated`); the first fault in file order
+    raises :class:`DatasetError` citing its 1-based line. Lenient-mode
+    domain warnings are aggregated into one log message.
     """
     cases: list[Case] = []
     warning_counts: Counter[str] = Counter()
     with closing(_blocks(source, stored=stored)) as blocks:
         positions = next(blocks)
         for lines, rows in blocks:
-            cases += _validated(lines, rows, positions, mode, warning_counts, stored=stored)
+            cases += map(Case, *_validated(lines, rows, positions, mode, warning_counts, stored=stored))
 
     if warning_counts:
-        logger.warning(
-            "accepted %d out-of-domain values in lenient mode: %s",
-            sum(warning_counts.values()),
-            dict(warning_counts),
-        )
+        total = sum(warning_counts.values())
+        logger.warning("accepted %d out-of-domain values in lenient mode: %s", total, dict(warning_counts))
     return cases
 
 
 def _as_fraction(train_fraction) -> Fraction:
     # Fractions given as floats are read back through their shortest decimal
     # repr, so 0.6 means six tenths exactly and floor(5 * 0.6) is 3.
-    if isinstance(train_fraction, Fraction):
-        return train_fraction
-    if isinstance(train_fraction, float):
-        return Fraction(str(train_fraction))
-    return Fraction(train_fraction)
+    return Fraction(str(train_fraction)) if isinstance(train_fraction, float) else Fraction(train_fraction)
 
 
 def split_sequential(cases: list[Case], train_fraction=Fraction(3, 5)) -> SplitResult:
-    """Split by file order: first floor(n * fraction) cases train, rest test."""
+    """Split by file order: first floor(n * fraction) cases train, rest test.
+
+    ``train_fraction`` is a Fraction, a float, an int or their text; messages show it as given.
+    """
     if not cases:
         raise DatasetError("cannot split an empty case list")
     fraction = _as_fraction(train_fraction)
     if not 0 < fraction < 1:
-        raise DatasetError(f"train fraction {fraction} outside (0, 1)")
+        raise DatasetError(f"train fraction {train_fraction} outside (0, 1)")
     n_train = math.floor(len(cases) * fraction)
     if n_train < 1 or n_train >= len(cases):
-        raise DegenerateSplitError(
-            f"split of {len(cases)} cases at fraction {fraction} leaves an empty side"
-        )
+        raise DegenerateSplitError(f"split of {len(cases)} cases at fraction {train_fraction} leaves an empty side")
     train = CaseBase.from_cases(cases[:n_train])
     return SplitResult(train=train, test=tuple(cases[n_train:]))
 
@@ -447,12 +459,12 @@ _case_values = attrgetter(*FEATURE_NAMES, TARGET_NAME)
 
 @contextmanager
 def _overwritten(path) -> Iterator[io.TextIOBase]:
-    """A UTF-8 text stream over ``path`` that overwrites it in place (see the module docstring).
+    """A UTF-8 text stream that overwrites ``path`` from its start, then cuts a regular file to what was written.
 
-    The file is created with mode 0o666 less the umask, as ``open(path, "w")``
-    creates it. On a clean exit a regular file is cut to what was written;
-    other files, such as ``/dev/null``, are left as they are (``ftruncate``
-    fails on them).
+    It keeps the inode and mode (a new file gets 0o666 less the umask).
+    Truncating to zero first, as ``open(path, "w")`` does, makes ext4
+    (``auto_da_alloc``) start writeback at close, which costs a small file
+    many times its write.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8", newline="") as stream:
@@ -549,8 +561,7 @@ def write_cases(cases: Iterable[Case], sink) -> None:
 
 def write_case_base(case_base: CaseBase, sink) -> None:
     """Persist a case base as CSV: case_id column plus the canonical header."""
-    rows = ((case_id, *_case_values(case)) for case_id, case in case_base)
-    _write_rows(sink, (CASE_ID_COLUMN,) + CANONICAL_HEADER, rows)
+    _write_rows(sink, (CASE_ID_COLUMN,) + CANONICAL_HEADER, zip(case_base.ids(), *case_base._columns()))
 
 
 def _case_ids(texts: Sequence[str], last: int) -> tuple[list[int], str | None]:
@@ -569,25 +580,30 @@ def _case_ids(texts: Sequence[str], last: int) -> tuple[list[int], str | None]:
 
 
 def read_case_base(source) -> CaseBase:
-    """Reload a case base written by :func:`write_case_base`, losslessly.
+    """Reload a case base written by :func:`write_case_base`, losslessly, building no :class:`Case`.
 
-    Rows are validated in lenient mode, in blocks as :func:`parse_csv`
-    reads them; each must hold a target and a case id above the one before
-    it, below 2**63. The first fault in file order raises
-    :class:`DatasetError` citing its line; within a row, the case id is
-    checked first.
+    Rows are validated in lenient mode, in blocks as :func:`parse_csv` reads
+    them, and fill the arrays column by column. Each must hold a target and a
+    case id above the one before it, below 2**63. The first fault in file
+    order raises :class:`DatasetError` citing its line; within a row, the
+    case id is checked first.
     """
     ids: list[int] = []
-    cases: list[Case] = []
-    with closing(_blocks(source, case_ids=True, stored=True)) as blocks:
-        positions = next(blocks)
+    targets: list[int] = []
+    blocks = [np.empty((0, N_FEATURES))]
+    with closing(_blocks(source, case_ids=True, stored=True)) as rows_of:
+        positions = next(rows_of)
         at = positions[CASE_ID_COLUMN]
-        for lines, rows in blocks:
+        for lines, rows in rows_of:
             block_ids, fault = _case_ids([row[at] for row in rows], ids[-1] if ids else -1)
             valid = len(block_ids)
             if valid:
-                cases += _validated(lines[:valid], rows[:valid], positions, "lenient", Counter(), stored=True)
+                columns = _validated(lines[:valid], rows[:valid], positions, "lenient", Counter(), stored=True)
+                blocks.append(np.array(columns[:N_FEATURES], dtype=np.float64).T)
+                targets += columns[N_FEATURES]
             if fault is not None:
                 raise DatasetError(f"line {lines[valid]}: {fault}")
             ids += block_ids
-    return CaseBase(zip(ids, cases))
+    base = CaseBase.__new__(CaseBase)  # C-contiguous features, one row per case
+    base._build(np.concatenate(blocks), np.array(ids, dtype=np.int64), np.array(targets, dtype=np.int64), None)
+    return base

@@ -89,12 +89,10 @@ def fit_from_vectors(vectors: Iterable[Sequence[float]]) -> NormalizationParams:
 
 
 def fit_minmax(train: CaseBase) -> NormalizationParams:
-    """Fit scaling parameters on the training split.
+    """Fit scaling parameters on the training split: its exact column extrema.
 
-    The extrema are column minima and maxima of the raw feature matrix, which
-    are exact, so they equal a row-by-row scan bit for bit. The case base
-    keeps them up to date as cases are added (:meth:`CaseBase.extrema`), so
-    refitting reads 13 pairs, and gives the last fit's object until their bits move.
+    The case base keeps them up to date as cases are added (:meth:`CaseBase.extrema`),
+    so refitting reads 13 pairs, and gives the last fit's object until their bits move.
     """
     if not len(train):
         raise ValueError("cannot fit normalization on an empty training set")
@@ -128,20 +126,26 @@ def write_params(params: NormalizationParams, path) -> None:
 def read_params(path) -> NormalizationParams:
     """Load a sidecar written by :func:`write_params`.
 
-    Rejects hand-edited files that lack an attribute or one of its four
-    keys, whose extrema are not finite, whose max lies below its min, whose
-    range is not max - min, or whose degenerate flag is not the JSON boolean
-    ``range == 0``.
+    A :class:`ValueError` rejects a hand-edited file that lacks an attribute
+    object or one of its four keys, whose min, max or range is not a finite
+    JSON number, whose max lies below its min, whose range is not max - min,
+    or whose degenerate flag is not the JSON boolean ``range == 0``.
     """
     payload = _read_json(path)
-    missing = [name for name in FEATURE_NAMES if name not in payload]
+    missing = [name for name in FEATURE_NAMES if not isinstance(payload, dict) or name not in payload]
     if missing:
         raise ValueError(f"sidecar missing attributes: {', '.join(missing)}")
     entries = [payload[name] for name in FEATURE_NAMES]
-    absent = [(name, key) for name, entry in zip(FEATURE_NAMES, entries) for key in _SIDECAR_KEYS if key not in entry]
-    if absent:
-        raise ValueError("sidecar attribute {} has no {!r}".format(*absent[0]))
-    mins, maxs, ranges = ([float(entry[key]) for entry in entries] for key in ("min", "max", "range"))
+    for name, entry in zip(FEATURE_NAMES, entries):
+        absent = [key for key in _SIDECAR_KEYS if key not in entry] if isinstance(entry, dict) else ["min"]
+        if absent:
+            raise ValueError(f"sidecar attribute {name} has no {absent[0]!r}")
+        if not {int, float}.issuperset(type(entry[key]) for key in ("min", "max", "range")):
+            raise ValueError(f"sidecar attribute {name}: min, max and range must be JSON numbers")
+    try:
+        mins, maxs, ranges = ([float(entry[key]) for entry in entries] for key in ("min", "max", "range"))
+    except OverflowError:  # an integer past the float range
+        raise ValueError("attribute extrema and range must be finite") from None
     params = NormalizationParams(mins, maxs)
     if not all(map(math.isfinite, ranges)):
         raise ValueError("attribute extrema and range must be finite")

@@ -130,16 +130,25 @@ def test_int_oldpeak_past_the_float_range_rejected():
         ("age", "1" * 5000, "lenient"),  # past int()'s 4,300-digit limit
         ("thal", "-" + "9" * 5000, "lenient"),
         ("chol", 2**1024 - 2**970, "lenient"),  # rounds up to 2**1024
+        ("age", 2**53 + 1, "lenient"),
+        ("trestbps", -(2**53) - 1, "lenient"),
+        ("chol", "9007199254740993", "lenient"),
+        ("thalach", 1e16, "lenient"),
+        ("ca", "1e16", "lenient"),
     ],
     ids=[
         "sex-strict", "ca", "oldpeak", "target", "negative-age", "age-text",
         "age-text-past-digit-limit", "negative-thal-text-past-digit-limit", "chol-rounds-up",
+        "age-past-2**53", "trestbps-below-minus-2**53", "chol-text-past-2**53", "thalach-float", "ca-float-text",
     ],
 )
 def test_integer_past_the_float_range_rejected_without_its_digits(field, value, mode):
+    # Integer attributes and the target are bounded by 2**53; oldpeak, a
+    # float, by the float range.
     with pytest.raises(CaseValidationError) as exc:
         validate_case(make_raw(**{field: value}), mode)
-    assert str(exc.value) == f"{field}: integer outside the float range"
+    bound = "the float range" if field == "oldpeak" else "[-2**53, 2**53]"
+    assert str(exc.value) == f"{field}: integer outside {bound}"
 
 
 @pytest.mark.parametrize("text", ["1e400", "inf", "-inf", "1.5"])
@@ -155,7 +164,8 @@ LONG_VALUES = [
     ("oldpeak", "x" * 5000, "oldpeak: non-numeric value '" + "x" * 39 + "..."),
     ("oldpeak", "-" + "1" * 5000, "oldpeak: non-finite value '-" + "1" * 38 + "..."),
     ("target", "--" + "1" * 5000, "target: non-numeric value '--" + "1" * 37 + "..."),
-    ("ca", 10**300, "ca: value 1" + "0" * 39 + "... outside documented domain [0, 1, 2, 3]"),
+    # No integer within 2**53 is long enough to be cut.
+    ("ca", -(2**53), "ca: value -9007199254740992 outside documented domain [0, 1, 2, 3]"),
 ]
 
 
@@ -166,11 +176,16 @@ def test_messages_show_at_most_40_characters_of_a_value(field, value, message):
     assert str(exc.value) == message
 
 
-def test_largest_integer_below_the_float_overflow_accepted():
+def test_integers_past_two_to_the_53_rejected_and_at_it_accepted():
+    # float64 holds every integer up to 2**53 exactly, and not 2**53 + 1.
     value = 2**1024 - 2**970 - 1  # rounds down to the largest float
-    case, _ = validate_case(make_raw(chol=value))
-    assert case.chol == value
-    assert to_feature_vector(case)[FEATURE_NAMES.index("chol")] == 1.7976931348623157e308
+    for wide in (value, 2**53 + 1, -(2**53) - 1):
+        with pytest.raises(CaseValidationError, match=r"^chol: integer outside \[-2\*\*53, 2\*\*53\]$"):
+            validate_case(make_raw(chol=wide))
+    for edge in (2**53, -(2**53)):
+        case, _ = validate_case(make_raw(chol=str(edge)))
+        assert case.chol == edge
+        assert to_feature_vector(case)[FEATURE_NAMES.index("chol")] == edge
 
 
 def test_unknown_mode_rejected():
@@ -238,10 +253,12 @@ def test_domains_match_schema():
 # before the one-pass fast branch existed. The fast branch may only accept
 # what this accepts, with the same values and types; every warning and every
 # error must come out word for word as here. Where the per-field rules change
-# on purpose, this copy changes with them: an integer that float() cannot
-# convert is rejected without its digits, in every field and the target, and
-# so is integer text past int()'s 4,300-digit limit, and a message shows at
-# most the first 40 characters of a value's repr.
+# on purpose, this copy changes with them: an integer past 2**53, which
+# float64 cannot hold exactly, is rejected without its digits, in every
+# integer field and the target, and so is integer text past int()'s
+# 4,300-digit limit; an integer oldpeak that float() cannot convert is
+# rejected without its digits too; and a message shows at most the first 40
+# characters of a value's repr.
 
 
 def _oracle_shown(value):
@@ -249,11 +266,9 @@ def _oracle_shown(value):
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-def _oracle_within_float_range(field, value):
-    try:
-        float(value)
-    except OverflowError:
-        raise CaseValidationError(f"{field}: integer outside the float range") from None
+def _oracle_bounded(field, value):
+    if abs(value) > 2**53:
+        raise CaseValidationError(f"{field}: integer outside [-2**53, 2**53]")
     return value
 
 
@@ -261,27 +276,27 @@ def _oracle_parse_int(field, value):
     if isinstance(value, bool):
         raise CaseValidationError(f"{field}: non-integer value {_oracle_shown(value)}")
     if isinstance(value, int):
-        return _oracle_within_float_range(field, value)
+        return _oracle_bounded(field, value)
     if isinstance(value, float):
         if not math.isfinite(value) or not value.is_integer():
             raise CaseValidationError(f"{field}: non-integer value {_oracle_shown(value)}")
-        return int(value)
+        return _oracle_bounded(field, int(value))
     text = str(value).strip()
     try:
         result = int(text)
     except ValueError:
         pass
     else:
-        return _oracle_within_float_range(field, result)
+        return _oracle_bounded(field, result)
     try:
         as_float = float(text)
     except ValueError:
         raise CaseValidationError(f"{field}: non-numeric value {_oracle_shown(value)}") from None
     if math.isinf(as_float) and text.lstrip("+-").replace("_", "").isdecimal():
-        raise CaseValidationError(f"{field}: integer outside the float range")
+        raise CaseValidationError(f"{field}: integer outside [-2**53, 2**53]")
     if not math.isfinite(as_float) or not as_float.is_integer():
         raise CaseValidationError(f"{field}: non-integer value {_oracle_shown(value)}")
-    return int(as_float)
+    return _oracle_bounded(field, int(as_float))
 
 
 def _oracle_parse_float(field, value):
@@ -347,7 +362,8 @@ ODD_VALUES = st.sampled_from(
     [
         True, False, None, "", " ", "abc", "1_0", "_10", "5.0", "5.5", "1e3", "1e400",
         "nan", "inf", "-inf", "-0.0", "-0", 5.0, 5.5, 0.0, -0.0,
-        float("nan"), float("inf"), 2**53 + 1, 10**20, -1, 2, 4, 10**400,
+        float("nan"), float("inf"), 2**53 + 1, 2**53, -(2**53), -(2**53) - 1, "9007199254740993",
+        "-9007199254740992", 1e16, 10**20, -1, 2, 4, 10**400,
         -(10**400), str(10**400), 10**5000, 2**1023, -(2**1023), 2**1023 - 1,
         2**1024 - 2**970 - 1, 2**1024 - 2**970,
     ]
@@ -428,6 +444,7 @@ def _outcome(validate, raw, mode):
 @example(raw=make_raw(oldpeak="-" + "1" * 5000))
 @example(raw=make_raw(target="--" + "1" * 5000))
 @example(raw=make_raw(age=2**53 + 1, chol=str(10**20)))
+@example(raw=make_raw(age=2**53, chol=str(-(2**53)), ca=float(2**53), target=2**53))
 @example(raw=make_raw(sex=True))
 @example(raw=make_raw(age="٥٤", chol="2_50", trestbps=" 130\xa0", target=" 1 "))
 @example(raw={name: value for name, value in make_raw().items() if name != "chol"})

@@ -373,15 +373,18 @@ def test_predict_retain_keeps_the_mode_of_the_files_it_replaces(split_dir, capsy
 
 
 def test_predict_retain_failing_inside_the_case_base_write_leaves_both_files(split_dir, monkeypatch, capsys):
-    case_values, rows = dataset._case_values, []
+    write_rows = dataset._write_rows
 
-    def failing_at_row_10_of_73(case):
-        rows.append(case)
-        if len(rows) == 10:
-            raise OSError("No space left on device")
-        return case_values(case)
+    def failing_at_row_10_of_73(sink, header, rows):
+        def rows_then_failure():
+            for k, row in enumerate(rows):
+                if k == 9:
+                    raise OSError("No space left on device")
+                yield row
 
-    monkeypatch.setattr("heartcbr.dataset._case_values", failing_at_row_10_of_73)
+        write_rows(sink, header, rows_then_failure())
+
+    monkeypatch.setattr("heartcbr.dataset._write_rows", failing_at_row_10_of_73)
     before = {path.name: path.read_bytes() for path in split_dir.iterdir()}
     stored = parse_csv(split_dir / "train.csv")[3]
     rc = main(["predict", "--case-base", str(split_dir / "case_base.csv"), "--retain", *query_flags(stored)])
@@ -766,7 +769,7 @@ def test_run_all_incremental_retain_predicted_stats_cover_every_row(tmp_path, sy
 
 SPLIT_FILES = ["case_base.csv", "normalization.json", "split_manifest.json", "test.csv", "train.csv"]
 NO_TRAIN_TARGET = "error: split: case 5: stored cases must have a target"
-EMPTY_SIDE = "error: split: split of 1 cases at fraction 3/5 leaves an empty side"
+EMPTY_SIDE = "error: split: split of 1 cases at fraction 0.6 leaves an empty side"
 TEST_LINE, TRAIN_LINE = (f"error: parse: line {line}: stored case missing target" for line in (42, 7))
 NO_TARGET_COLUMN = "error: parse: missing target column"
 
@@ -840,17 +843,71 @@ def test_failure_exit_code_message_and_leftover_files(tmp_path, capsys, failing_
     assert files == files_want
 
 
-@pytest.mark.parametrize("command", ["split", "train-nn"])
-@pytest.mark.parametrize(
-    "below, fault", [(False, "[Errno 17] File exists"), (True, "[Errno 20] Not a directory")], ids=["file", "below-file"]
-)
-def test_an_unusable_out_dir_fails_in_the_write_stage(tmp_path, capsys, clean_synthetic_csv, command, below, fault):
+OUT_DIR_COMMANDS = ["split", "evaluate", "stats", "correlate", "train-nn", "run-all"]
+
+
+@pytest.mark.parametrize("command", OUT_DIR_COMMANDS)
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_an_unusable_out_dir_fails_in_the_write_stage(
+    tmp_path, capsys, clean_synthetic_csv, command, below, monkeypatch
+):
+    # It fails before the input is read, so no parse, evaluation or training
+    # is wasted, and nothing is made.
     blocker = tmp_path / "blocker"
     blocker.write_text("kept\n", encoding="utf-8")
     out = blocker / "out" if below else blocker
+    parsed = []
+    monkeypatch.setattr("heartcbr.cli.parse_csv", lambda *args, **kwargs: parsed.append(args))
     assert main([command, "--input", str(clean_synthetic_csv), "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: write: {fault}: {str(out)!r}\n"
+    assert capsys.readouterr().err == f"error: write: --out-dir {out}: {blocker} is not a directory\n"
+    assert parsed == []
     assert blocker.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [blocker]
+
+
+def test_a_missing_out_dir_is_made_only_once_results_are_ready(tmp_path, capsys, clean_synthetic_csv):
+    out = tmp_path / "new" / "out"
+    assert main(["train-nn", "--input", str(clean_synthetic_csv), "--out-dir", str(out), "--epochs", "0"]) == 1
+    assert not (tmp_path / "new").exists()
+    capsys.readouterr()
+    assert main(["train-nn", "--input", str(clean_synthetic_csv), "--out-dir", str(out), "--epochs", "1"]) == 0
+    assert (out / "mlp_report.json").exists()
+
+
+def test_a_train_fraction_is_printed_as_typed(tmp_path, capsys, clean_synthetic_csv):
+    out = tmp_path / "out"
+    argv = ["--input", str(clean_synthetic_csv), "--out-dir", str(out), "--train-fraction"]
+    assert main(["evaluate", *argv, "1e-300"]) == 1
+    assert capsys.readouterr().err == "error: split: split of 100 cases at fraction 1e-300 leaves an empty side\n"
+    assert not out.exists()
+    # The value is still the exact fraction: 1/3 of 100 rows trains on 33.
+    assert main(["split", *argv, "1/3"]) == 0
+    assert read_json(out / "split_manifest.json")["train"] == 33
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_a_byte_that_is_not_utf8_fails_citing_its_line(tmp_path, capsys, split_dir, command):
+    base = split_dir / "case_base.csv"
+    lines = base.read_bytes().split(b"\n")
+    if command == "predict":
+        lines[40] = lines[40].replace(b",", b",\xc3", 1)
+        base.write_bytes(b"\n".join(lines))
+        stored = parse_csv(split_dir / "train.csv")[0]
+        argv = ["predict", "--case-base", str(base), *query_flags(stored)]
+        stage = "load"
+    else:
+        data = tmp_path / "data.csv"
+        lines = (split_dir / "train.csv").read_bytes().split(b"\n")
+        lines[40] = lines[40].replace(b",", b",\xff", 1)
+        data.write_bytes(b"\n".join(lines))
+        argv = ["evaluate", "--input", str(data), "--out-dir", str(tmp_path / "out")]
+        stage = "parse"
+    at = lines[40].index(b",") + 1
+    byte = "0xc3" if command == "predict" else "0xff"
+    reason = "invalid continuation byte" if command == "predict" else "invalid start byte"
+    assert main(argv) == 1
+    fault = f"'utf-8' codec can't decode byte {byte} in position {at}: {reason}"
+    assert capsys.readouterr().err == f"error: {stage}: line 41: invalid UTF-8: {fault}\n"
 
 
 # --- option scope -----------------------------------------------------------------

@@ -4,6 +4,7 @@ import logging
 import math
 from collections import Counter
 from contextlib import closing, nullcontext
+from dataclasses import replace
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -68,10 +69,10 @@ def test_parse_rejects_bytes_sources(source):
 
 def test_integer_past_the_float_range_rejected_citing_its_line():
     huge = ROW.replace("54", "1" + "0" * 400, 1)
-    with pytest.raises(DatasetError, match=r"^line 3: age: integer outside the float range$"):
+    with pytest.raises(DatasetError, match=r"^line 3: age: integer outside \[-2\*\*53, 2\*\*53\]$"):
         parse_csv(io.StringIO(f"{HEADER}\n{ROW}\n{huge}\n"))
     past_the_digit_limit = ROW.replace("54", "1" * 5000, 1)  # int() takes at most 4,300 digits
-    with pytest.raises(DatasetError, match=r"^line 2: age: integer outside the float range$"):
+    with pytest.raises(DatasetError, match=r"^line 2: age: integer outside \[-2\*\*53, 2\*\*53\]$"):
         parse_csv(io.StringIO(f"{HEADER}\n{past_the_digit_limit}\n"))
 
 
@@ -202,15 +203,27 @@ def test_read_case_base_skips_blank_rows_and_cites_the_file_line_after_them(tmp_
     assert read_case_base(path).ids() == [0, 1]
 
 
-def test_integers_past_two_to_the_53_survive_parse_write_and_read(tmp_path):
-    row = ROW.replace("54", "9007199254740993", 1).replace("250", str(10**20))
-    (case,) = parse_csv(io.StringIO(f"{HEADER}\n{row}\n"))
-    assert (case.age, case.chol) == (2**53 + 1, 10**20)
+def test_integers_past_two_to_the_53_are_rejected_and_those_at_it_survive(tmp_path):
+    # float64 holds every integer within 2**53 exactly, so the case base keeps
+    # them in its float rows; one past the bound is rejected by the parse, the
+    # case-base read and the case base itself, with none of its digits.
+    message = r"age: integer outside \[-2\*\*53, 2\*\*53\]$"
+    row = ROW.replace("54", "9007199254740993", 1)
+    with pytest.raises(DatasetError, match="^line 3: " + message):
+        parse_csv(io.StringIO(f"{HEADER}\n{ROW}\n{row}\n"))
     path = tmp_path / "base.csv"
+    path.write_text(f"case_id,{HEADER}\n0,{ROW}\n1,{row}\n")
+    with pytest.raises(DatasetError, match="^line 3: " + message):
+        read_case_base(path)
+    with pytest.raises(DatasetError, match="^case 1: " + message):
+        CaseBase.from_cases([make_case(), replace(make_case(), age=2**53 + 1)])
+    row = ROW.replace("54", "9007199254740992", 1).replace("250", str(-(2**53)))
+    (case,) = parse_csv(io.StringIO(f"{HEADER}\n{row}\n"))
+    assert (case.age, case.chol) == (2**53, -(2**53))
     write_case_base(CaseBase.from_cases([case]), path)
-    assert f"0,9007199254740993,1,0,130,{10**20}," in path.read_text()
+    assert f"0,9007199254740992,1,0,130,{-(2**53)}," in path.read_text()
     (reread,) = read_case_base(path).cases()
-    assert (reread.age, reread.chol) == (9007199254740993, 100000000000000000000)
+    assert (reread.age, reread.chol) == (9007199254740992, -9007199254740992)
     assert reread == case
 
 
@@ -338,6 +351,82 @@ def test_out_of_order_case_id_rejected_citing_its_line(tmp_path):
         read_case_base(path)
 
 
+@st.composite
+def stored_bases(draw):
+    """Case bases of lenient cases: wide integers, -0.0 and subnormal oldpeaks, and codes the block branch refuses."""
+    entries, case_id = [], -1
+    for _ in range(draw(st.integers(0, 10))):
+        raw = draw(in_domain_raw())
+        for name in ("age", "trestbps", "chol", "thalach"):
+            if draw(st.booleans()):
+                raw[name] = draw(WIDE_INTS)
+        raw["ca"] = draw(st.sampled_from([0, 3, 4, 2**53, -(2**53)]))  # out of its domain: refused, warns
+        raw["thal"] = draw(st.sampled_from([1, 3, 0, 7]))
+        raw["oldpeak"] = draw(
+            st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308])
+        )
+        case_id += draw(st.integers(1, 2**40))
+        entries.append((case_id, validate_case(raw, "lenient")[0]))
+    return CaseBase(entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=stored_bases(), block=st.sampled_from([1, 3, BLOCK_ROWS]))
+def test_a_written_base_reads_back_to_equal_cases_and_the_same_bytes(base, block):
+    written = io.StringIO()
+    write_case_base(base, written)
+    with mock.patch.object(dataset, "BLOCK_ROWS", block):
+        reread = read_case_base(io.StringIO(written.getvalue()))
+    # The arrays, extrema and distinct index hold the same bits.
+    for ours, theirs in zip(reread.arrays() + reread.distinct(), base.arrays() + base.distinct()):
+        assert (ours.dtype, ours.shape, ours.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+    assert np.array(reread.extrema()).tobytes() == np.array(base.extrema()).tobytes()
+    # Cases rebuilt from them hold the values, types and signed zeros that were stored.
+    assert reread.ids() == base.ids()
+    assert [[(type(v), repr(v)) for v in vars(case).values()] for case in reread.cases()] == [
+        [(type(v), repr(v)) for v in vars(case).values()] for case in base.cases()
+    ]
+    assert reread == base
+    again = io.StringIO()
+    write_case_base(reread, again)
+    assert again.getvalue() == written.getvalue()
+
+
+def test_a_byte_that_is_not_utf8_is_cited_by_its_file_line(tmp_path):
+    # The codec's message follows the line; its position counts from the line's start.
+    bad = ROW.replace("250", "2\xff0").encode("latin-1")
+    path = tmp_path / "data.csv"
+    path.write_bytes(f"{HEADER}\n{ROW}\n".encode() + bad + b"\n")
+    fault = "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"
+    with pytest.raises(DatasetError, match=f"^line 3: invalid UTF-8: {fault}$"):
+        parse_csv(path)
+    path.write_bytes(f"case_id,{HEADER}\n0,{ROW}\n\n1,".encode() + bad + b"\n")
+    with pytest.raises(DatasetError, match="^line 4: invalid UTF-8: .* byte 0xff in position 14: invalid start byte$"):
+        read_case_base(path)
+    path.write_bytes(HEADER.replace("age", "\xe9ge").encode("latin-1") + b"\n")
+    with pytest.raises(DatasetError, match="^line 1: invalid UTF-8: .* byte 0xe9 in position 0: invalid continuation"):
+        parse_csv(path)
+    path.write_bytes(f"{HEADER}\n{ROW}\n".encode() + b"\xe2\x82")  # cut inside a character
+    with pytest.raises(DatasetError, match="^line 3: invalid UTF-8: .* bytes in position 0-1: unexpected end of data$"):
+        parse_csv(path)
+    # A text stream decodes as its opener chose; its fault is left as it is.
+    with pytest.raises(UnicodeDecodeError):
+        parse_csv(io.TextIOWrapper(io.BytesIO(f"{HEADER}\n".encode() + bad), encoding="utf-8"))
+
+
+def test_a_fault_in_a_block_read_before_the_undecodable_byte_wins(tmp_path):
+    rows = [ROW] * 3000
+    rows[5] = ROW.replace("250", "abc")
+    path = tmp_path / "data.csv"
+    path.write_bytes(("\n".join([HEADER, *rows]) + "\n").encode() + b"\xff\n")
+    with pytest.raises(DatasetError, match=r"^line 7: chol: non-numeric value 'abc'$"):
+        parse_csv(path)
+    rows[5] = ROW
+    path.write_bytes(("\n".join([HEADER, *rows]) + "\n").encode() + b"\xff\n")
+    with pytest.raises(DatasetError, match="^line 3002: invalid UTF-8: .* byte 0xff in position 0: invalid start"):
+        parse_csv(path)
+
+
 def test_case_id_past_int64_rejected_citing_its_line(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text(f"case_id,{HEADER}\n0,{ROW}\n{2**63},{ROW}\n")
@@ -398,10 +487,8 @@ def _oracle_case_fields(case):
     return row
 
 
-# The widest integers validate_case accepts: float() must take them.
-WIDE_INTS = st.integers(-(2**1024 - 2**970 - 1), 2**1024 - 2**970 - 1) | st.sampled_from(
-    [2**53 + 1, -(2**63), 2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1)]
-)
+# The widest integers validate_case accepts: float64 must hold them exactly.
+WIDE_INTS = st.integers(-(2**53), 2**53) | st.sampled_from([2**53, -(2**53), 2**53 - 1, -(2**53) + 1])
 
 
 @st.composite
@@ -669,12 +756,13 @@ def _read_outcome(read, text, *args):
 
 
 # Edits of one row: (column, text). Values the block branch must pass to the
-# per-field parsers, which accept them ("54.0", U+001C padding, a sum of two
-# 10**308 in one column that overflows fsum) or reject them; codes that warn
-# or fail; and faults of the row itself.
+# per-field parsers, which accept them ("54.0", U+001C padding) or reject
+# them (integers past 2**53); values at the bound, which both take; codes
+# that warn or fail; and faults of the row itself.
 ROW_EDITS = [
     ("age", " 54 "), ("age", "54.0"), ("chol", "1_0"), ("age", "\x1c54\x1f"), ("age", "٥٤"),
     ("age", str(2**53 + 1)), ("trestbps", str(10**400)), ("thalach", "1" * 5000),
+    ("age", str(2**53)), ("chol", str(-(2**53))), ("thalach", str(-(2**53) - 1)), ("ca", str(2**53 + 1)),
     ("chol", str(10**308)), ("chol", str(10**308)), ("age", "5.5"), ("chol", "abc"), ("sex", "2"),
     ("oldpeak", "-1.0"), ("oldpeak", "nan"), ("oldpeak", "1e400"), ("oldpeak", " 0.5"),
     ("ca", "4"), ("thal", "0"), ("ca", "7"), ("target", " 1 "), ("target", "2"), ("target", ""),

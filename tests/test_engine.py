@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from heartcbr.cases import FEATURE_NAMES, Case, CaseValidationError, to_feature_vector
-from heartcbr.dataset import CaseBase
+from heartcbr.cases import FEATURE_NAMES, Case, CaseValidationError, _feature_values, to_feature_vector
+from heartcbr.dataset import CaseBase, DatasetError, read_case_base, write_case_base
 from heartcbr.engine import (
     Prediction,
     RankedMatch,
@@ -21,6 +21,7 @@ from heartcbr.engine import (
     reuse,
 )
 from heartcbr.scaling import NormalizationParams, fit_minmax, normalize
+from heartcbr.synthetic import generate_rows
 
 from conftest import make_case
 
@@ -429,10 +430,12 @@ def test_retain_rejects_bad_target():
 
 def test_retain_stores_the_query_as_given_with_the_solved_target():
     # A query is validated where it enters the program; retain checks only
-    # the target and stores the 13 fields as they are.
+    # the target and stores the 13 fields as they are. The case base alone
+    # refuses an integer past 2**53, which its float rows cannot hold, and
+    # is left as it was.
     base, _ = toy_base()
     queries = [
-        make_case(age=2**53 + 1, ca=4, oldpeak=2.5, target=None),
+        make_case(age=2**53, ca=4, oldpeak=2.5, target=None),
         make_case(chol=555, thal=0, target=1),
         make_case(trestbps=99, oldpeak=0.0, target=0),
     ]
@@ -443,6 +446,32 @@ def test_retain_stores_the_query_as_given_with_the_solved_target():
         assert vars(case) == {**vars(query), "target": 0}
         assert all(getattr(case, name) is getattr(query, name) for name in FEATURE_NAMES)
     assert base.ids()[-3:] == [4, 5, 6]
+    before = (base.cases(), [view.tolist() for view in base.arrays()], base.extrema())
+    with pytest.raises(DatasetError, match=r"^case 7: age: integer outside \[-2\*\*53, 2\*\*53\]$"):
+        retain(dataclasses.replace(queries[0], age=2**53 + 1), 0, base)
+    assert (base.cases(), [view.tolist() for view in base.arrays()], base.extrema()) == before
+
+
+def test_predict_and_retain_on_a_read_base_build_no_stored_case(tmp_path, monkeypatch):
+    # What predict --retain does: load, fit, predict, retain, write. The base
+    # read from a file builds no Case for its stored rows; retain builds one,
+    # the solved query.
+    rows = generate_rows(300, seed=3)
+    path = tmp_path / "case_base.csv"
+    write_case_base(CaseBase.from_cases(Case(**row) for row in rows), path)
+    query = make_case(age=61, chol=299, target=None)
+    built = []
+    init = Case.__init__
+    monkeypatch.setattr(Case, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    base = read_case_base(path)
+    params = fit_minmax(base)
+    prediction = predict(query, base, SimilarityConfig(), params)
+    base, params = retain(query, prediction.predicted_target, base)
+    write_case_base(base, path)
+    assert built == [(*_feature_values(query), prediction.predicted_target)]
+    monkeypatch.undo()
+    stored = [Case(**row) for row in rows] + [dataclasses.replace(query, target=prediction.predicted_target)]
+    assert read_case_base(path).cases() == stored
 
 
 def test_retain_stores_an_integral_target_as_an_int_and_rejects_a_bool():

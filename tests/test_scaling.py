@@ -218,7 +218,10 @@ def test_retain_keeps_the_params_object_exactly_while_no_extremum_moves(start, a
 
 
 def edited_sidecar(tmp_path, chol):
-    """The sidecar with chol's entry updated by ``chol``, without that key if it is a str, or without chol if None."""
+    """The sidecar with chol's entry updated by a dict ``chol``, without that key if a str, without chol if None.
+
+    Any other ``chol`` replaces the entry.
+    """
     params = fit_minmax(CaseBase.from_cases([make_case(chol=100), make_case(chol=300)]))
     path = tmp_path / "normalization.json"
     write_params(params, path)
@@ -227,13 +230,16 @@ def edited_sidecar(tmp_path, chol):
         del payload["chol"]
     elif isinstance(chol, str):
         del payload["chol"][chol]
-    else:
+    elif isinstance(chol, dict):
         payload["chol"].update(chol)
+    else:
+        payload["chol"] = chol
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
 
 
 FLAG_MISMATCH = "^degenerate flag must mark exactly the zero ranges$"
+NOT_NUMBERS = "^sidecar attribute chol: min, max and range must be JSON numbers$"
 
 
 @pytest.mark.parametrize(
@@ -251,14 +257,29 @@ FLAG_MISMATCH = "^degenerate flag must mark exactly the zero ranges$"
         ({"min": 300.0, "range": 0.0, "degenerate": "no"}, FLAG_MISMATCH),
         ({"min": 300.0, "range": 0.0, "degenerate": 1}, FLAG_MISMATCH),
         ({"min": 300.0, "range": 0.0, "degenerate": False}, FLAG_MISMATCH),
+        (5, "^sidecar attribute chol has no 'min'$"),
+        ([100.0, 300.0], "^sidecar attribute chol has no 'min'$"),
+        ({"min": None}, NOT_NUMBERS),
+        ({"max": "300"}, NOT_NUMBERS),
+        ({"range": True}, NOT_NUMBERS),
+        ({"max": 10**400}, "finite"),
     ],
     ids=[
         "nan-min", "inf-max", "inf-range", "max-below-min", "range-mismatch", "missing-attribute",
         "no-min", "no-max", "no-range", "no-degenerate",
         "flag-on-nonzero-range", "zero-flag-on-nonzero-range", "string-flag-on-zero-range",
-        "one-flag-on-zero-range", "flag-off-zero-range",
+        "one-flag-on-zero-range", "flag-off-zero-range", "entry-not-an-object", "entry-a-list",
+        "null-min", "string-max", "boolean-range", "integer-max-past-the-float-range",
     ],
 )
 def test_read_params_rejects_hand_edited_sidecar(tmp_path, edit, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as exc:
         read_params(edited_sidecar(tmp_path, edit))
+    assert type(exc.value) is ValueError
+
+
+def test_read_params_rejects_a_sidecar_that_is_not_an_object(tmp_path):
+    path = tmp_path / "normalization.json"
+    path.write_text("5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^sidecar missing attributes: age, sex, "):
+        read_params(path)

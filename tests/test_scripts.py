@@ -41,7 +41,7 @@ def test_bench_scale_records_stages_and_the_run_all_digests(tmp_path):
     for label, sizes in (("first", ["120"]), ("second", [])):
         command = [
             sys.executable, script, "--label", label, "--out", str(out), "--repeats", "2",
-            "--sizes", *sizes, "--incremental-sizes", "120",
+            "--sizes", *sizes, "--incremental-sizes", "120", "--predict-sizes",
         ]
         result = subprocess.run(command, env=subprocess_env(), capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
@@ -64,6 +64,37 @@ def test_bench_scale_records_stages_and_the_run_all_digests(tmp_path):
         assert hashlib.sha256((tmp_path / "direct" / name).read_bytes()).hexdigest() == digest
 
 
+def test_bench_scale_times_predict_and_retain_on_the_persisted_base(tmp_path):
+    out = tmp_path / "bench.json"
+    command = [
+        sys.executable, str(REPO_ROOT / "scripts" / "bench_scale.py"), "--out", str(out), "--repeats", "2",
+        "--sizes", "--incremental-sizes", "--predict-sizes", "120",
+    ]
+    result = subprocess.run(command, env=subprocess_env(), capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    runs = json.loads(out.read_text(encoding="utf-8"))["current"]["runs"]
+    modes = [(run["rows"], run["mode"], run["base_rows"]) for run in runs]
+    assert modes == [(120, "predict", 72), (120, "predict-retain", 72)]
+    for run in runs:
+        stages = run["stages_s"]
+        assert sorted(stages) == ["fit", "load", "parse", "predict", "retain", "write"]
+        assert 0 < sum(stages.values()) <= run["wall_s"]
+        # Stage times are rounded to 0.1 ms, so a retain into 72 rows may read 0.
+        assert (stages["write"] > 0) == (run["mode"] == "predict-retain")
+        assert stages["retain"] == 0 or run["mode"] == "predict-retain"
+
+    # The digests are those of the CLI itself: the base as split, then as one retain leaves it.
+    data = write_synthetic_dataset(tmp_path / "synthetic_120.csv", 120, seed=7)
+    split = tmp_path / "split"
+    assert main(["split", "--input", str(data), "--out-dir", str(split)]) == 0
+    query = tmp_path / "query.csv"
+    query.write_text("".join((split / "test.csv").read_text(encoding="utf-8").splitlines(True)[:2]))
+    for run, retain in zip(runs, ([], ["--retain"])):
+        assert main(["predict", "--case-base", str(split / "case_base.csv"), "--query", str(query), *retain]) == 0
+        digest = hashlib.sha256((split / "case_base.csv").read_bytes()).hexdigest()
+        assert run["digests"]["case_base.csv"] == digest
+
+
 def test_bench_scale_keeps_the_fastest_run_of_every_call_under_one_label(tmp_path):
     # Two checkouts are compared in interleaved rounds of one call each, so a
     # label gathers its runs over calls: one run per size and mode, the fastest.
@@ -73,7 +104,7 @@ def test_bench_scale_keeps_the_fastest_run_of_every_call_under_one_label(tmp_pat
     for sizes in (["120"], ["120", "60"]):
         command = [
             sys.executable, script, "--label", "round", "--out", str(out), "--repeats", "1",
-            "--sizes", *sizes, "--incremental-sizes",
+            "--sizes", *sizes, "--incremental-sizes", "--predict-sizes",
         ]
         result = subprocess.run(command, env=subprocess_env(), capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
@@ -94,21 +125,22 @@ def load_script(name):
 def test_bench_scale_keeps_the_fastest_time_of_each_stage(tmp_path, monkeypatch):
     # The faster run-all has the slower parse: a stage keeps its own minimum.
     bench_scale = load_script("bench_scale")
-    stages = dict.fromkeys(bench_scale.STAGES, 0.01)
+    stages = dict.fromkeys(bench_scale.STAGES["run-all"], 0.01)
     slow = {"run_all_s": 2.0, "stages_s": {**stages, "parse": 0.1, "evaluate": 1.5}, "digests": {"f": "x"}}
     fast = {"run_all_s": 1.5, "stages_s": {**stages, "parse": 0.3, "evaluate": 0.9}, "digests": {"f": "x"}}
     fastest = {"run_all_s": 1.5, "stages_s": {**stages, "parse": 0.1, "evaluate": 0.9}, "digests": {"f": "x"}}
 
     runs = iter([slow, fast])
     monkeypatch.setattr(bench_scale, "timed_run_all", lambda *args: next(runs))
-    run = bench_scale.measure(20, False, 2, tmp_path)
+    run = bench_scale.measure(20, "frozen", 2, tmp_path)
     assert {key: run[key] for key in fastest} == fastest
     assert run["repeats"] == 2
 
     # Two calls under one label merge the same way.
     out = tmp_path / "bench.json"
     runs = iter([slow, fast])
-    argv = ["bench_scale.py", "--out", str(out), "--sizes", "20", "--incremental-sizes", "--repeats", "1"]
+    argv = ["bench_scale.py", "--out", str(out), "--sizes", "20", "--incremental-sizes", "--predict-sizes"]
+    argv += ["--repeats", "1"]
     monkeypatch.setattr(sys, "argv", argv)
     assert bench_scale.main() == 0
     assert bench_scale.main() == 0
