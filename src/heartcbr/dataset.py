@@ -18,7 +18,7 @@ from collections import Counter
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -34,6 +34,7 @@ from .cases import (
     TARGET_NAME,
     Case,
     CaseValidationError,
+    _column_cases,
     _feature_values,
     _int_values,
     accepted_block,
@@ -81,7 +82,7 @@ class CaseBase:
     The arrays are the store. Every integer attribute lies within 2**53
     (:func:`cases.bounded`), so float64 holds it exactly, and :meth:`cases`
     builds the :class:`Case` objects from the arrays on first use; a base
-    built from cases keeps the list it was given. Retrieval reads
+    built from cases keeps its own list of them. Retrieval reads
     :meth:`arrays`, :meth:`distinct` and :meth:`extrema`, built in one batch
     with no spare row. :meth:`add` alone makes room, doubling the arrays (to
     at least 64 rows) when full; it writes the new row, widens the extrema,
@@ -101,16 +102,21 @@ class CaseBase:
                 raise DatasetError(_id_fault(case_id, last))
             ids.append(case_id)
             cases.append(case)
-        features = feature_matrix(cases)  # OverflowError for an integer past the float range
-        # float() is monotone: only a row that reaches 2**53 may hold an integer past it.
-        for row in np.flatnonzero(np.abs(features).max(axis=1, initial=0.0) >= INT_BOUND):
-            _check_bounds(ids[row], cases[row])
+        features = _stored_features(ids, cases)
         targets = [case.target for case in cases]
         self._build(features, np.array(ids, dtype=np.int64), np.array(targets, dtype=np.int64), cases)
 
     @classmethod
     def from_cases(cls, cases: Iterable[Case]) -> "CaseBase":
-        return cls(enumerate(cases))
+        """A base of ``cases`` under ids 0 to n - 1, keeping its own list of them."""
+        cases = list(cases)
+        targets = list(map(_target, cases))
+        if None in targets:
+            raise DatasetError(f"case {targets.index(None)}: stored cases must have a target")
+        ids = np.arange(len(cases), dtype=np.int64)
+        base = cls.__new__(cls)
+        base._build(_stored_features(ids, cases), ids, np.array(targets, dtype=np.int64), cases)
+        return base
 
     def _build(self, features, ids, targets, cases: list[Case] | None) -> None:
         """The store over n x 13 float64 features, int64 ids and targets; None ``cases`` are built on demand."""
@@ -212,15 +218,24 @@ class CaseBase:
         view.flags.writeable = False
         return view.T
 
-    def add(self, case: Case) -> int:
-        """Append a solved case under a fresh id and return that id."""
+    def add(self, case: Case, target: int | None = None) -> int:
+        """Append ``case``, solved by ``target`` if one is given, under a fresh id and return that id.
+
+        A ``Case`` of the 13 attributes and ``target`` is built only for a base that keeps its list.
+        """
         row = len(self)
         case_id = int(self._arrays[1][row - 1]) + 1 if row else 0
-        if case.target is None:
+        if target is None:
+            target = case.target
+        if target is None:
             raise DatasetError(f"case {case_id}: stored cases must have a target")
         if case_id == 2**63:
             raise DatasetError(f"no case id left: the last id is {case_id - 1}, the largest below 2**63")
-        vector = to_feature_vector(case)  # OverflowError for an integer past the float range
+        try:
+            vector = to_feature_vector(case)
+        except OverflowError:  # an integer past the float range
+            _check_bounds(case_id, case)
+            raise
         if not (-INT_BOUND < min(vector) and max(vector) < INT_BOUND):  # float() is monotone
             _check_bounds(case_id, case)
         if row == len(self._arrays[0]):
@@ -228,13 +243,13 @@ class CaseBase:
         features, ids, targets, _, _ = self._arrays
         features[row] = vector
         ids[row] = case_id
-        targets[row] = case.target
+        targets[row] = target
         # np.minimum/np.maximum are the ufuncs behind _build's column reductions: 0.0 and -0.0 tie alike.
         self._lo = np.minimum(self._lo, features[row])
         self._hi = np.maximum(self._hi, features[row])
         self._index(row, row + 1)
         if self._cases is not None:
-            self._cases.append(case)
+            self._cases.append(case if target is case.target else Case(*_feature_values(case), target))
         self._publish(row + 1)
         return case_id
 
@@ -247,7 +262,7 @@ class CaseBase:
 
     def cases(self) -> list[Case]:
         if self._cases is None:
-            self._cases = list(map(Case, *self._columns()))
+            self._cases = _column_cases(self._columns())
         return list(self._cases)
 
     def ids(self) -> list[int]:
@@ -263,6 +278,20 @@ class CaseBase:
         if not isinstance(other, CaseBase):
             return NotImplemented
         return self.ids() == other.ids() and self.cases() == other.cases()
+
+
+def _stored_features(ids, cases: list[Case]) -> np.ndarray:
+    """:func:`feature_matrix` of ``cases``, stored under ``ids``, once :func:`_check_bounds` takes each of them."""
+    try:
+        features = feature_matrix(cases)
+    except OverflowError:  # an integer past the float range
+        for case_id, case in zip(ids, cases):
+            _check_bounds(case_id, case)
+        raise
+    # float() is monotone: only a row that reaches 2**53 may hold an integer past it.
+    for row in np.flatnonzero(np.abs(features).max(axis=1, initial=0.0) >= INT_BOUND):
+        _check_bounds(ids[row], cases[row])
+    return features
 
 
 def _check_bounds(case_id: int, case: Case) -> None:
@@ -331,10 +360,11 @@ def _blocks(source, *, case_ids: bool = False, stored: bool = False) -> Iterator
     ``source`` is a path, opened as UTF-8, or an open text stream, left open.
     Blank rows are skipped. A row of another width than the header raises
     :class:`DatasetError` citing its 1-based file line, after the rows before
-    it are yielded; so does a byte of a path that is not UTF-8, found by
-    reading the file again (the stream decodes ahead, so rows just before it
-    may not be yielded). A block's lists are emptied in place for the next.
-    Close the generator (``contextlib.closing``) to release the file.
+    it are yielded; so does a byte of a path that is not UTF-8. The stream
+    decodes ahead, so the rows before that byte's line are read again from
+    the text before it (:func:`_undecodable`) and yielded first. A block's
+    lists are emptied in place for the next. Close the generator
+    (``contextlib.closing``) to release the file.
     """
     if isinstance(source, (str, Path)):
         opened = open(source, "r", encoding="utf-8", newline="")
@@ -342,42 +372,64 @@ def _blocks(source, *, case_ids: bool = False, stored: bool = False) -> Iterator
         opened = nullcontext(source)
     else:
         raise TypeError(f"unsupported source type {type(source)!r}")
-    try:
-        with opened as stream:
-            reader = csv.reader(stream)
-            try:
-                raw_header = next(reader)
-            except StopIteration:
-                raise DatasetError("empty file: no header row") from None
+    line_no = 0  # the csv records read, the header included
+    width = -1  # the header's, once read
+    lines: list[int] = []
+    rows: list[list[str]] = []
+
+    def read(records: Iterator[list[str]]) -> Iterator:
+        nonlocal line_no, width
+        if line_no == 0:
+            raw_header = next(records, None)
+            if raw_header is None:
+                raise DatasetError("empty file: no header row")
+            line_no = 1
             yield _resolve_header(raw_header, case_ids=case_ids, stored=stored)
             width = len(raw_header)
-            lines: list[int] = []
-            rows: list[list[str]] = []
-            for line_no, row in enumerate(reader, start=2):
-                if not any(map(str.strip, row)):
-                    continue
-                if len(row) != width:
-                    if rows:
-                        yield lines, rows
-                    raise DatasetError(f"line {line_no}: expected {width} fields, found {len(row)}")
-                lines.append(line_no)
-                rows.append(row)
-                if len(rows) == BLOCK_ROWS:
-                    yield lines, rows
-                    lines.clear()
-                    rows.clear()
-            if rows:
+        for line_no, row in enumerate(records, start=line_no + 1):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != width:
+                raise DatasetError(f"line {line_no}: expected {width} fields, found {len(row)}")
+            lines.append(line_no)
+            rows.append(row)
+            if len(rows) == BLOCK_ROWS:
                 yield lines, rows
-    except UnicodeDecodeError:
-        if not isinstance(source, (str, Path)):
-            raise
-        with open(source, "rb") as binary:  # no UTF-8 sequence holds a newline byte
-            for number, data in enumerate(binary, start=1):
-                try:
-                    data.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DatasetError(f"line {number}: invalid UTF-8: {exc}") from None
+                lines.clear()
+                rows.clear()
+
+    try:
+        try:
+            with opened as stream:
+                yield from read(csv.reader(stream))
+        except UnicodeDecodeError:
+            fault = _undecodable(source) if isinstance(source, (str, Path)) else None
+            if fault is None:
+                raise
+            number, exc, text = fault
+            if text:
+                yield from read(islice(csv.reader(io.StringIO(text, newline="")), line_no, None))
+            raise DatasetError(f"line {number}: invalid UTF-8: {exc}") from None
+    except DatasetError:
+        if rows:
+            yield lines, rows
         raise
+    if rows:
+        yield lines, rows
+
+
+def _undecodable(path) -> tuple[int, UnicodeDecodeError, str] | None:
+    """The first line of ``path`` that is not UTF-8, its decode fault, and the text before it (None if it has none)."""
+    with open(path, "rb") as binary:  # no UTF-8 sequence holds a newline byte
+        before = 0
+        for number, data in enumerate(binary, start=1):
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                binary.seek(0)
+                return number, exc, binary.read(before).decode("utf-8")
+            before += len(data)
+    return None
 
 
 def _validated(lines, rows, positions, mode: str, warning_counts: Counter, *, stored: bool = False) -> list[list]:
@@ -423,7 +475,7 @@ def parse_csv(source, mode: str = "lenient", *, stored: bool = False) -> list[Ca
     with closing(_blocks(source, stored=stored)) as blocks:
         positions = next(blocks)
         for lines, rows in blocks:
-            cases += map(Case, *_validated(lines, rows, positions, mode, warning_counts, stored=stored))
+            cases += _column_cases(_validated(lines, rows, positions, mode, warning_counts, stored=stored))
 
     if warning_counts:
         total = sum(warning_counts.values())
@@ -455,6 +507,7 @@ def split_sequential(cases: list[Case], train_fraction=Fraction(3, 5)) -> SplitR
 
 
 _case_values = attrgetter(*FEATURE_NAMES, TARGET_NAME)
+_target = attrgetter(TARGET_NAME)
 
 
 @contextmanager

@@ -60,7 +60,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .analytics import CaseResult, ConfusionCounts, EvaluationReport
-from .cases import N_FEATURES, Case, CaseValidationError, _feature_values
+from .cases import N_FEATURES, Case, CaseValidationError
 from .dataset import CaseBase, feature_matrix
 from .scaling import NormalizationParams, fit_minmax
 
@@ -294,7 +294,7 @@ def retain(
     # A bool is not an integer target, as in validate_case; 1.0 is stored as 1.
     if isinstance(solved_target, bool) or solved_target not in (0, 1):
         raise CaseValidationError(f"solved target must be 0 or 1, got {solved_target!r}")
-    case_id = case_base.add(Case(*_feature_values(query), int(solved_target)))
+    case_id = case_base.add(query, int(solved_target))
     params = fit_minmax(case_base)
     logger.debug("retain: stored case %d with target %d", case_id, solved_target)
     return case_base, params

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +15,7 @@ from heartcbr.cases import (
     VALIDATION_MODES,
     Case,
     CaseValidationError,
+    _column_cases,
     to_feature_vector,
     validate_case,
 )
@@ -245,6 +248,55 @@ def test_feature_vector_is_deterministic_and_13_long(raw):
 def test_domains_match_schema():
     assert set(CATEGORICAL_DOMAINS) < set(FEATURE_NAMES)
     assert len(FEATURE_NAMES) == 13
+
+
+# --- _column_cases: Case records made a column at a time ---------------------
+
+
+def test_column_cases_makes_the_stores_case_init_makes():
+    # _column_cases skips the generated __init__ and stores the fields itself,
+    # which is the same only while __init__ stores exactly these fields.
+    fields = [(f.name, f.default, f.default_factory) for f in dataclasses.fields(Case)]
+    missing = dataclasses.MISSING
+    expected = [(name, missing, missing) for name in FEATURE_NAMES] + [(TARGET_NAME, None, missing)]
+    assert fields == expected and not hasattr(Case, "__post_init__"), (
+        "cases._column_cases stores the 14 fields of Case as its generated __init__ does; "
+        "change it together with Case's fields, defaults or __post_init__"
+    )
+
+
+def _columns(n):
+    cases = [validate_case(make_raw(age=20 + i % 60, oldpeak=i / 8, target=(None, 0, 1)[i % 3]))[0] for i in range(n)]
+    return [list(column) for column in zip(*(dataclasses.astuple(case) for case in cases))]
+
+
+def test_column_cases_are_frozen():
+    (case,) = _column_cases(_columns(1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.age = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.target = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del case.chol
+    assert case == Case(*dataclasses.astuple(case))
+
+
+def test_column_cases_take_the_memory_case_init_takes():
+    columns = _columns(1000)
+
+    def bytes_per_case(build):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cases = build(columns)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return (grown - sys.getsizeof(cases)) / len(cases)  # the values are the columns' own objects
+
+    ours = bytes_per_case(_column_cases)
+    theirs = bytes_per_case(lambda columns: list(map(Case, *columns)))
+    assert abs(ours - theirs) < 1, (ours, theirs)
 
 
 # --- Oracle: validate_case against the per-field validator it must match ---

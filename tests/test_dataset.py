@@ -2,6 +2,7 @@ import csv
 import io
 import logging
 import math
+import pickle
 from collections import Counter
 from contextlib import closing, nullcontext
 from dataclasses import replace
@@ -43,6 +44,8 @@ from test_cases import _oracle_validate_case
 
 HEADER = "age,sex,cp,trestbps,chol,fbs,restecg,thalach,exang,oldpeak,slope,ca,thal,target"
 ROW = "54,1,0,130,250,0,1,150,0,1.0,1,0,2,1"
+BAD_CHOL = ROW.replace("250", "abc")
+BLANK_TARGET = ROW[:-1]
 
 
 def test_parse_two_line_file():
@@ -225,6 +228,22 @@ def test_integers_past_two_to_the_53_are_rejected_and_those_at_it_survive(tmp_pa
     (reread,) = read_case_base(path).cases()
     assert (reread.age, reread.chol) == (9007199254740992, -9007199254740992)
     assert reread == case
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, 10**400, -(10**400)], ids=["2**53+1", "10**400", "-10**400"])
+@pytest.mark.parametrize(
+    "store",
+    [
+        lambda case: CaseBase.from_cases([make_case(), case]),
+        lambda case: CaseBase([(0, make_case()), (1, case)]),
+        lambda case: CaseBase.from_cases([make_case()]).add(case),
+    ],
+    ids=["from_cases", "entries", "add"],
+)
+def test_an_integer_past_the_float_range_is_refused_as_one_past_two_to_the_53(store, value):
+    # float() of the 10**400 age overflows before any bound is checked.
+    with pytest.raises(DatasetError, match=r"^case 1: age: integer outside \[-2\*\*53, 2\*\*53\]$"):
+        store(replace(make_case(), age=value))
 
 
 # --- splitting -------------------------------------------------------------
@@ -425,6 +444,51 @@ def test_a_fault_in_a_block_read_before_the_undecodable_byte_wins(tmp_path):
     path.write_bytes(("\n".join([HEADER, *rows]) + "\n").encode() + b"\xff\n")
     with pytest.raises(DatasetError, match="^line 3002: invalid UTF-8: .* byte 0xff in position 0: invalid start"):
         parse_csv(path)
+
+
+UNDECODABLE = ROW.replace("250", "2\xff0")
+DECODE_FAULT = r"invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position \d+: invalid start byte"
+
+
+@pytest.mark.parametrize("block", [1, 3, BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([ROW, BAD_CHOL, ROW, UNDECODABLE], "line 3: chol: non-numeric value 'abc'"),
+        ([ROW, "54,1,0", ROW, UNDECODABLE], "line 3: expected {width} fields, found {short}"),
+        ([ROW, ROW, ROW, UNDECODABLE], f"line 5: {DECODE_FAULT}"),
+        ([ROW, UNDECODABLE, ROW, BAD_CHOL], f"line 3: {DECODE_FAULT}"),
+        ([ROW] * 2995 + [BAD_CHOL, ROW, UNDECODABLE], "line 2997: chol: non-numeric value 'abc'"),
+        ([ROW] * 2997 + [UNDECODABLE, BAD_CHOL], f"line 2999: {DECODE_FAULT}"),
+    ],
+    ids=["row-fault-first", "width-fault-first", "byte-only", "byte-first", "past-8-KB", "byte-first-past-8-KB"],
+)
+@pytest.mark.parametrize("read", [parse_csv, read_case_base])
+def test_the_first_fault_in_file_order_wins_over_an_undecodable_byte(read, rows, message, block, tmp_path):
+    # The text stream decodes 8 KB ahead of the rows it has handed out, so
+    # the rows before the byte's line are read again from the text before it.
+    header = HEADER
+    if read is read_case_base:
+        header, rows = f"case_id,{HEADER}", [f"{n},{row}" for n, row in enumerate(rows)]
+    path = tmp_path / "data.csv"
+    path.write_bytes("\n".join([header, *rows, ""]).encode("latin-1"))
+    message = message.format(width=header.count(",") + 1, short=rows[1].count(",") + 1)
+    with mock.patch.object(dataset, "BLOCK_ROWS", block), pytest.raises(DatasetError, match=f"^{message}$"):
+        read(path)
+
+
+@pytest.mark.parametrize("block", [1, 3, BLOCK_ROWS])
+def test_the_rows_before_an_undecodable_byte_are_yielded_once_in_order(block, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes("\n".join([HEADER, *[ROW] * 3000, "", UNDECODABLE, ""]).encode("latin-1"))
+    seen = []
+    with mock.patch.object(dataset, "BLOCK_ROWS", block), closing(dataset._blocks(path)) as blocks:
+        assert list(next(blocks)) == list(CANONICAL_HEADER)
+        with pytest.raises(DatasetError, match=f"^line 3003: {DECODE_FAULT}$"):
+            for lines, rows in blocks:
+                assert len(lines) == len(rows) <= block
+                seen += lines
+    assert seen == list(range(2, 3002))
 
 
 def test_case_id_past_int64_rejected_citing_its_line(tmp_path):
@@ -821,9 +885,6 @@ def test_files_read_as_the_row_by_row_loop_read_them(files):
 
 
 
-BAD_CHOL = ROW.replace("250", "abc")
-BLANK_TARGET = ROW[:-1]
-
 
 @pytest.mark.parametrize("block", [1, 3, BLOCK_ROWS])
 @pytest.mark.parametrize(
@@ -895,6 +956,28 @@ def test_only_the_rows_the_block_branch_refuses_reach_the_per_field_parsers(read
     expected = [dict(zip(header, records[at])) for at in refused_at]
     assert refused == expected
     assert len(per_field) == len(refused_at)
+
+
+@pytest.mark.parametrize("block", [1, 3, BLOCK_ROWS])
+def test_cases_made_a_column_at_a_time_are_the_ones_case_init_makes(block, tmp_path):
+    # parse_csv and CaseBase.cases() store each field without Case.__init__
+    # (cases._column_cases). Rows the block branch refuses ("54.0", a ca of 4,
+    # a blank target, "1_0") are patched in from validate_case.
+    rows = [ROW, ROW.replace("54", "54.0", 1), ROW.replace(",0,2,1", ",4,2,1"), BLANK_TARGET]
+    rows.append("60,0,3,140,1_0,1,2,170,1,0.0,2,3,3,0")
+    with mock.patch.object(dataset, "BLOCK_ROWS", block):
+        parsed = parse_csv(io.StringIO("\n".join([HEADER, *rows * 20]) + "\n"))
+        expected = [(0, 250, 1), (0, 250, 1), (4, 250, 1), (0, 250, None), (3, 10, 0)] * 20
+        assert [(case.ca, case.chol, case.target) for case in parsed] == expected
+        path = tmp_path / "base.csv"
+        write_case_base(CaseBase.from_cases(case for case in parsed if case.target is not None), path)
+        reread = read_case_base(path).cases()
+    assert len(reread) == 80
+    for case in parsed + reread:
+        twin = Case(**vars(case))
+        assert case == twin
+        assert list(vars(case)) == list(vars(twin)) == list(CANONICAL_HEADER)
+        assert (hash(case), repr(case), pickle.dumps(case)) == (hash(twin), repr(twin), pickle.dumps(twin))
 
 
 def test_an_unknown_mode_raises_at_the_first_data_row():

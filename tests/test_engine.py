@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from heartcbr.cases import FEATURE_NAMES, Case, CaseValidationError, _feature_values, to_feature_vector
+from heartcbr.cases import FEATURE_NAMES, Case, CaseValidationError, to_feature_vector
 from heartcbr.dataset import CaseBase, DatasetError, read_case_base, write_case_base
 from heartcbr.engine import (
     Prediction,
@@ -454,8 +454,8 @@ def test_retain_stores_the_query_as_given_with_the_solved_target():
 
 def test_predict_and_retain_on_a_read_base_build_no_stored_case(tmp_path, monkeypatch):
     # What predict --retain does: load, fit, predict, retain, write. The base
-    # read from a file builds no Case for its stored rows; retain builds one,
-    # the solved query.
+    # read from a file builds no Case for its stored rows, and retain stores
+    # the solved query's row and target without building one.
     rows = generate_rows(300, seed=3)
     path = tmp_path / "case_base.csv"
     write_case_base(CaseBase.from_cases(Case(**row) for row in rows), path)
@@ -468,7 +468,7 @@ def test_predict_and_retain_on_a_read_base_build_no_stored_case(tmp_path, monkey
     prediction = predict(query, base, SimilarityConfig(), params)
     base, params = retain(query, prediction.predicted_target, base)
     write_case_base(base, path)
-    assert built == [(*_feature_values(query), prediction.predicted_target)]
+    assert built == []
     monkeypatch.undo()
     stored = [Case(**row) for row in rows] + [dataclasses.replace(query, target=prediction.predicted_target)]
     assert read_case_base(path).cases() == stored
